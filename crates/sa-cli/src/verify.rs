@@ -12,7 +12,8 @@
 //!
 //! under the output directory (default `verify/<spec-name>/`). The exit
 //! code reflects the verdict: success only when every unit certifies both
-//! closure and convergence. Progress goes to stderr; the state budget is
+//! closure and convergence. Progress, and each unit's elapsed time and
+//! explored states per second, go to stderr; the state budget is
 //! the spec's `max_states`, else `SA_VERIFY_MAX_STATES`, else the
 //! built-in default (see `docs/verify.md`).
 
@@ -24,6 +25,7 @@ use sa_bench::verify::{
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 pub fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut spec_path: Option<PathBuf> = None;
@@ -59,15 +61,18 @@ pub fn verify(args: &[String]) -> Result<ExitCode, String> {
             "sa verify: {unit_id}: exploring (budget {} states)",
             unit.effective_max_states()
         );
+        let started = Instant::now();
         let report = unit.run(&mut |p| {
             eprintln!(
                 "sa verify: {unit_id}: {} states, {} expanded, {} edges",
                 p.states, p.expanded, p.edges
             );
         })?;
+        // Timing goes to stderr only: VERIFY.json stays byte-deterministic.
+        let secs = started.elapsed().as_secs_f64();
         eprintln!(
             "sa verify: {unit_id}: {} states, {} edges, {} legitimate — closure {}, \
-             convergence {} ({})",
+             convergence {} ({}) in {secs:.3} s, {:.0} states/s",
             report.stats.states,
             report.stats.edges,
             report.stats.legitimate,
@@ -82,6 +87,7 @@ pub fn verify(args: &[String]) -> Result<ExitCode, String> {
                 "VIOLATED"
             },
             mode_label(report.convergence_mode),
+            report.stats.states as f64 / secs.max(1e-9),
         );
         reports.push(report);
     }

@@ -362,6 +362,19 @@ fn oversized_and_malformed_frames_are_rejected_structurally() {
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"code\": \"bad-request\""), "{line}");
 
+    // Nesting far past the parser's depth cap, inside the frame bound: a
+    // structured refusal, not a stack overflow.
+    writeln!(writer, "{}", "[".repeat(1000)).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"code\": \"bad-request\""), "{line}");
+    assert!(line.contains("nesting deeper than"), "{line}");
+
+    writeln!(writer, r#"{{"op": "ping"}}"#).unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\": true"), "{line}");
+
     daemon.shutdown();
     fs::remove_dir_all(&dir).ok();
 }

@@ -18,11 +18,30 @@
 //!
 //! Local states are interned into a dynamically grown *palette* (a
 //! `state → u16` index, the same palette-index idea the binary checkpoint
-//! codec uses); a global configuration is a `[u16; n]` vector of palette
-//! indices, stored once in an id-indexed arena and once as the key of the
-//! visited-set hash map. Budgeting is therefore simple: memory is
-//! `O(max_states · n)` with a small constant (~2 boxed index vectors plus
-//! parent metadata per configuration).
+//! codec uses); a global configuration is `n` palette indices. Configuration
+//! `id` occupies `n` consecutive `u16`s of one flat arena, and the visited set
+//! is an open-addressed table of `u32` ids over that arena, so each
+//! configuration is stored exactly once.
+//!
+//! # The successor graph
+//!
+//! The breadth-first search is the only pass that evaluates transitions. For
+//! every configuration it records the mask of enabled nodes and the successor
+//! ids, in enumeration order, as a compressed sparse row (one `u32` per
+//! edge). The convergence check and the trace reconstruction read these
+//! arrays instead of re-evaluating anything. An edge's activation set is not
+//! stored: in a deterministic relation edge `j` of a configuration is
+//! odometer combination `j + 1` over its enabled nodes (see below), so its
+//! activation is the bits of `j + 1` deposited into the enabled mask. The
+//! passes that need activations (fair-cycle search and trace reconstruction)
+//! only run on deterministic relations; randomized ones need only the ids.
+//!
+//! Budgeting is therefore simple: the search holds `2n + 37` to `2n + 45`
+//! bytes per configuration (arena `2n`, id table 8–16, legitimacy flag 1,
+//! parent id and activation 12, edge offset 8, enabled mask 8) plus 4 bytes
+//! per edge. The fair-schedule pass adds 13 to 33 bytes per configuration
+//! while it runs (Tarjan's arrays and depth-first stack, then the
+//! per-component cover).
 //!
 //! # Activation reduction
 //!
@@ -43,6 +62,13 @@
 //!    successor *set* is therefore `{ C[A ← targets] : ∅ ≠ A ⊆ enabled(C) }`
 //!    — `2^k - 1` configurations for `k = |enabled(C)|`, plus an implicit
 //!    self-loop (activating only disabled nodes) at every configuration.
+//!
+//! Successors are enumerated by an odometer with one digit per enabled node
+//! (ascending): digit `0` leaves the node out, digit `d` activates it with
+//! its `d`-th target. The digits count up from the all-zero combination
+//! (the implicit no-op, skipped), so in a deterministic relation, where
+//! every digit is binary, combination `c` activates exactly the enabled
+//! nodes selected by the bits of `c`.
 //!
 //! Randomized algorithms get one target *set* per node, sampled from a fixed
 //! number of seeded coin tapes ([`ExploreConfig::coin_tapes`]); the explored
@@ -70,8 +96,8 @@
 //! enabled) — a deadlock. Terminal components of the illegitimate subgraph
 //! always have full cover (every enabled node contributes its singleton
 //! activation edge), so this check subsumes backward reachability from `L`.
-//! The check runs with Tarjan's algorithm, iteratively, regenerating
-//! successors on the fly — the edge set is never stored.
+//! The check runs Tarjan's algorithm, iteratively, over the stored successor
+//! graph.
 
 use crate::algorithm::Algorithm;
 use crate::graph::{Graph, NodeId};
@@ -101,10 +127,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// A configuration-normalization hook: quotients the explored space by a
 /// transition-equivariant, oracle-invariant symmetry (see [`explore`]).
 pub type NormalizeFn<'a, S> = &'a dyn Fn(&mut Vec<S>);
-
-/// The enabled nodes of a configuration with their distinct non-identity
-/// target states.
-pub type EnabledTargets<S> = Vec<(NodeId, Vec<S>)>;
 
 /// Knobs for an exhaustive exploration.
 #[derive(Debug, Clone)]
@@ -374,71 +396,8 @@ pub fn explore<A: Algorithm>(
     config: &ExploreConfig,
     progress: &mut dyn FnMut(ExploreProgress),
 ) -> Result<ExploreReport<A::State>, ExploreError> {
-    let n = graph.node_count();
-    if n > MAX_NODES {
-        return Err(ExploreError::TooManyNodes { nodes: n });
-    }
-    let mut space = Space {
-        alg,
-        graph,
-        oracle,
-        normalize,
-        deterministic: alg.transition_is_deterministic(),
-        coin_tapes: config.coin_tapes.max(1),
-        max_states: config.max_states,
-        n,
-        full_mask: full_mask(n),
-        palette: Vec::new(),
-        palette_index: HashMap::new(),
-        configs: Vec::new(),
-        config_index: HashMap::new(),
-        legit: Vec::new(),
-        parent: Vec::new(),
-        parent_act: Vec::new(),
-        edges: 0,
-    };
-
-    let mut seed_count = 0usize;
-    for seed in seeds {
-        debug_assert_eq!(seed.len(), n, "seed configuration has wrong length");
-        let (_, fresh) = space.intern(seed)?;
-        if fresh {
-            seed_count += 1;
-        }
-    }
-
-    // Breadth-first closure of the seed set: processing ids in discovery
-    // order *is* the FIFO order, so parent chains are shortest-path (in
-    // steps) from some seed.
-    let mut closure_violation: Option<(u32, u64, u32)> = None;
-    let mut expanded = 0usize;
-    let mut i = 0u32;
-    while (i as usize) < space.configs.len() {
-        let cfg = space.decode(i);
-        let targets = space.enabled_targets(&cfg)?;
-        let src_legit = space.legit[i as usize];
-        space.for_each_successor(&cfg, &targets, |space, act, succ_cfg| {
-            space.edges += 1;
-            let (id, fresh) = space.intern(succ_cfg)?;
-            if fresh {
-                space.parent[id as usize] = i;
-                space.parent_act[id as usize] = act;
-            }
-            if src_legit && !space.legit[id as usize] && closure_violation.is_none() {
-                closure_violation = Some((i, act, id));
-            }
-            Ok(())
-        })?;
-        expanded += 1;
-        if config.progress_stride != 0 && expanded.is_multiple_of(config.progress_stride) {
-            progress(ExploreProgress {
-                states: space.configs.len(),
-                expanded,
-                edges: space.edges,
-            });
-        }
-        i += 1;
-    }
+    let mut space = Space::new(alg, graph, oracle, normalize, config)?;
+    let (seed_count, closure_violation) = space.build(seeds, config, progress)?;
 
     let legitimate = space.legit.iter().filter(|&&l| l).count();
     let closure = match closure_violation {
@@ -448,19 +407,19 @@ pub fn explore<A: Algorithm>(
         }
     };
     let (convergence, convergence_mode) = if space.deterministic {
-        (space.fair_convergence()?, ConvergenceMode::FairSchedule)
+        (space.fair_convergence(), ConvergenceMode::FairSchedule)
     } else {
         (
-            space.reachability_convergence()?,
+            space.reachability_convergence(),
             ConvergenceMode::ReachabilityOnly,
         )
     };
 
     Ok(ExploreReport {
         stats: ExploreStats {
-            states: space.configs.len(),
+            states: space.store.len,
             seeds: seed_count,
-            edges: space.edges,
+            edges: space.succ_ids.len() as u64,
             legitimate,
             palette: space.palette.len(),
             deterministic: space.deterministic,
@@ -490,6 +449,131 @@ fn mask_nodes(mask: u64) -> Vec<NodeId> {
     out
 }
 
+/// Scatters the low bits of `bits` onto the set bits of `mask`, lowest
+/// first (the software form of the x86 `pdep` instruction).
+fn deposit(mut bits: u64, mut mask: u64) -> u64 {
+    let mut out = 0u64;
+    while bits != 0 && mask != 0 {
+        let lowest = mask & mask.wrapping_neg();
+        if bits & 1 != 0 {
+            out |= lowest;
+        }
+        bits >>= 1;
+        mask &= mask - 1;
+    }
+    out
+}
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The visited set. Configuration `id`'s palette indices are
+/// `keys[id * n..(id + 1) * n]`; `slots` is a linear-probing table of ids
+/// over that arena, kept at most half full.
+struct ConfigStore {
+    n: usize,
+    len: usize,
+    keys: Vec<u16>,
+    slots: Vec<u32>,
+}
+
+impl ConfigStore {
+    fn new(n: usize) -> Self {
+        ConfigStore {
+            n,
+            len: 0,
+            keys: Vec::new(),
+            slots: vec![EMPTY_SLOT; 16],
+        }
+    }
+
+    fn key(&self, id: u32) -> &[u16] {
+        let at = id as usize * self.n;
+        &self.keys[at..at + self.n]
+    }
+
+    /// Home slot of `key`: a multiply-rotate hash, read from its high bits.
+    /// The keys are palette indices the explorer generates itself, so no
+    /// collision-resistant hasher is needed.
+    fn home(&self, key: &[u16]) -> usize {
+        let mut h = 0u64;
+        for &k in key {
+            h = (h.rotate_left(5) ^ u64::from(k)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id of `key`, or the free slot where it belongs.
+    fn find(&self, key: &[u16]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            match self.slots[slot] {
+                EMPTY_SLOT => return Err(slot),
+                id if self.key(id) == key => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Appends `key` under the next id at `slot`, a free slot returned by
+    /// [`find`](Self::find) for the same key.
+    fn insert(&mut self, slot: usize, key: &[u16]) -> u32 {
+        let id = self.len as u32;
+        self.keys.extend_from_slice(key);
+        self.slots[slot] = id;
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            self.slots = vec![EMPTY_SLOT; self.slots.len() * 2];
+            for id in 0..self.len as u32 {
+                let slot = self.find(self.key(id)).expect_err("ids have distinct keys");
+                self.slots[slot] = id;
+            }
+        }
+        id
+    }
+}
+
+/// Buffers reused from one expansion to the next.
+struct Scratch<S> {
+    hood: Vec<NodeId>,
+    /// The configuration being expanded.
+    cfg: Vec<S>,
+    /// Enabled nodes, ascending.
+    nodes: Vec<NodeId>,
+    /// `nodes[j]`'s distinct non-identity targets are
+    /// `targets[bounds[j]..bounds[j + 1]]`.
+    bounds: Vec<usize>,
+    targets: Vec<S>,
+    /// `targets` as palette indices (only without a normalizer).
+    target_ids: Vec<u16>,
+    /// Odometer digit per enabled node.
+    digits: Vec<usize>,
+    /// The successor being built, as palette indices and (with a
+    /// normalizer) as states.
+    key: Vec<u16>,
+    succ: Vec<S>,
+}
+
+impl<S> Scratch<S> {
+    fn new() -> Self {
+        Scratch {
+            hood: Vec::new(),
+            cfg: Vec::new(),
+            nodes: Vec::new(),
+            bounds: Vec::new(),
+            targets: Vec::new(),
+            target_ids: Vec::new(),
+            digits: Vec::new(),
+            key: Vec::new(),
+            succ: Vec::new(),
+        }
+    }
+}
+
+/// A closure violation found by the search: `(legitimate source,
+/// activation, illegitimate successor)`.
+type ClosureViolation = (u32, u64, u32);
+
 struct Space<'a, A: Algorithm> {
     alg: &'a A,
     graph: &'a Graph,
@@ -502,15 +586,91 @@ struct Space<'a, A: Algorithm> {
     full_mask: u64,
     palette: Vec<A::State>,
     palette_index: HashMap<A::State, u16>,
-    configs: Vec<Box<[u16]>>,
-    config_index: HashMap<Box<[u16]>, u32>,
+    store: ConfigStore,
     legit: Vec<bool>,
     parent: Vec<u32>,
     parent_act: Vec<u64>,
-    edges: u64,
+    /// Enabled-node mask per expanded configuration.
+    enabled: Vec<u64>,
+    /// The successor graph: configuration `id`'s successor ids are
+    /// `succ_ids[succ_offsets[id]..succ_offsets[id + 1]]`, in enumeration
+    /// order.
+    succ_offsets: Vec<usize>,
+    succ_ids: Vec<u32>,
 }
 
-impl<A: Algorithm> Space<'_, A> {
+impl<'a, A: Algorithm> Space<'a, A> {
+    fn new(
+        alg: &'a A,
+        graph: &'a Graph,
+        oracle: &'a dyn Fn(&Graph, &[A::State]) -> bool,
+        normalize: Option<NormalizeFn<'a, A::State>>,
+        config: &ExploreConfig,
+    ) -> Result<Self, ExploreError> {
+        let n = graph.node_count();
+        if n > MAX_NODES {
+            return Err(ExploreError::TooManyNodes { nodes: n });
+        }
+        Ok(Space {
+            alg,
+            graph,
+            oracle,
+            normalize,
+            deterministic: alg.transition_is_deterministic(),
+            coin_tapes: config.coin_tapes.max(1),
+            max_states: config.max_states,
+            n,
+            full_mask: full_mask(n),
+            palette: Vec::new(),
+            palette_index: HashMap::new(),
+            store: ConfigStore::new(n),
+            legit: Vec::new(),
+            parent: Vec::new(),
+            parent_act: Vec::new(),
+            enabled: Vec::new(),
+            succ_offsets: vec![0],
+            succ_ids: Vec::new(),
+        })
+    }
+
+    /// Interns the seeds, then expands every configuration breadth-first,
+    /// recording the successor graph. Returns the number of distinct seeds
+    /// and the first closure violation met.
+    fn build(
+        &mut self,
+        seeds: &mut dyn Iterator<Item = Vec<A::State>>,
+        config: &ExploreConfig,
+        progress: &mut dyn FnMut(ExploreProgress),
+    ) -> Result<(usize, Option<ClosureViolation>), ExploreError> {
+        let mut scratch = Scratch::new();
+        let mut seed_count = 0usize;
+        for mut seed in seeds {
+            debug_assert_eq!(seed.len(), self.n, "seed configuration has wrong length");
+            let (_, fresh) = self.intern_states(&mut seed, &mut scratch.key)?;
+            if fresh {
+                seed_count += 1;
+            }
+        }
+
+        // Processing ids in discovery order *is* the FIFO order, so parent
+        // chains are shortest-path (in steps) from some seed.
+        let mut closure_violation = None;
+        let mut id = 0u32;
+        while (id as usize) < self.store.len {
+            self.expand(id, &mut scratch, &mut closure_violation)?;
+            id += 1;
+            let expanded = id as usize;
+            if config.progress_stride != 0 && expanded.is_multiple_of(config.progress_stride) {
+                progress(ExploreProgress {
+                    states: self.store.len,
+                    expanded,
+                    edges: self.succ_ids.len() as u64,
+                });
+            }
+        }
+        Ok((seed_count, closure_violation))
+    }
+
     fn intern_state(&mut self, s: &A::State) -> Result<u16, ExploreError> {
         if let Some(&i) = self.palette_index.get(s) {
             return Ok(i);
@@ -524,155 +684,202 @@ impl<A: Algorithm> Space<'_, A> {
         Ok(i)
     }
 
-    /// Normalizes, interns and (for fresh configurations) classifies a
+    /// Normalizes `cfg`, interns its states into `key` and interns the
     /// configuration; returns `(id, freshly_interned)`.
-    fn intern(&mut self, mut cfg: Vec<A::State>) -> Result<(u32, bool), ExploreError> {
+    fn intern_states(
+        &mut self,
+        cfg: &mut Vec<A::State>,
+        key: &mut Vec<u16>,
+    ) -> Result<(u32, bool), ExploreError> {
         if let Some(norm) = self.normalize {
-            norm(&mut cfg);
+            norm(cfg);
         }
-        let mut key = Vec::with_capacity(self.n);
-        for s in &cfg {
+        key.clear();
+        for s in cfg.iter() {
             key.push(self.intern_state(s)?);
         }
-        let key = key.into_boxed_slice();
-        if let Some(&id) = self.config_index.get(&key) {
-            return Ok((id, false));
-        }
-        if self.configs.len() >= self.max_states {
+        self.intern_key(key, Some(cfg))
+    }
+
+    /// Interns the configuration `key` and, when it is fresh, classifies it
+    /// (`cfg` is its decoded form, if the caller has it); returns
+    /// `(id, freshly_interned)`.
+    fn intern_key(
+        &mut self,
+        key: &[u16],
+        cfg: Option<&[A::State]>,
+    ) -> Result<(u32, bool), ExploreError> {
+        let slot = match self.store.find(key) {
+            Ok(id) => return Ok((id, false)),
+            Err(slot) => slot,
+        };
+        // Ids are `u32`s below the `EMPTY_SLOT`/`NO_PARENT` sentinel,
+        // whatever budget the spec asks for.
+        if self.store.len >= self.max_states.min(EMPTY_SLOT as usize) {
             return Err(ExploreError::BudgetExceeded {
                 budget: self.max_states,
             });
         }
-        let id = self.configs.len() as u32;
-        self.configs.push(key.clone());
-        self.config_index.insert(key, id);
-        self.legit.push((self.oracle)(self.graph, &cfg));
+        let id = self.store.insert(slot, key);
+        let legit = match cfg {
+            Some(cfg) => (self.oracle)(self.graph, cfg),
+            None => (self.oracle)(self.graph, &self.decode(id)),
+        };
+        self.legit.push(legit);
         self.parent.push(NO_PARENT);
         self.parent_act.push(0);
         Ok((id, true))
     }
 
-    /// Looks up an already-interned configuration (BFS invariant: every
-    /// successor of a visited configuration is visited).
-    fn lookup(&self, mut cfg: Vec<A::State>) -> u32 {
-        if let Some(norm) = self.normalize {
-            norm(&mut cfg);
-        }
-        let key: Box<[u16]> = cfg.iter().map(|s| self.palette_index[s]).collect();
-        self.config_index[&key]
-    }
-
     fn decode(&self, id: u32) -> Vec<A::State> {
-        self.configs[id as usize]
+        self.store
+            .key(id)
             .iter()
             .map(|&i| self.palette[i as usize].clone())
             .collect()
     }
 
-    /// The enabled nodes of `cfg` with their distinct non-identity targets.
-    fn enabled_targets(&self, cfg: &[A::State]) -> Result<EnabledTargets<A::State>, ExploreError> {
-        let mut out = Vec::new();
-        let mut hood = Vec::new();
+    fn config(&self, id: u32) -> Vec<u16> {
+        self.store.key(id).to_vec()
+    }
+
+    /// The successor ids of configuration `id`.
+    fn succs(&self, id: u32) -> &[u32] {
+        &self.succ_ids[self.succ_offsets[id as usize]..self.succ_offsets[id as usize + 1]]
+    }
+
+    /// The activation set of edge `j` of configuration `id`, decoded from
+    /// the edge ordinal (deterministic relations only).
+    fn activation(&self, id: u32, j: usize) -> u64 {
+        debug_assert!(
+            self.deterministic,
+            "edge activations need a deterministic relation"
+        );
+        deposit(j as u64 + 1, self.enabled[id as usize])
+    }
+
+    /// Evaluates every node's transition at `x.cfg`: fills `x.nodes`,
+    /// `x.bounds` and `x.targets` with the enabled nodes and their distinct
+    /// non-identity targets.
+    fn evaluate(&self, x: &mut Scratch<A::State>) {
+        x.nodes.clear();
+        x.bounds.clear();
+        x.bounds.push(0);
+        x.targets.clear();
+        let tapes = if self.deterministic {
+            1
+        } else {
+            self.coin_tapes
+        };
         for v in 0..self.n {
-            self.graph.closed_neighborhood_into(v, &mut hood);
-            let signal = Signal::from_states(hood.iter().map(|&u| cfg[u].clone()));
-            let mut targets: Vec<A::State> = Vec::new();
-            let tapes = if self.deterministic {
-                1
-            } else {
-                self.coin_tapes
-            };
+            self.graph.closed_neighborhood_into(v, &mut x.hood);
+            let signal = Signal::from_states(x.hood.iter().map(|&u| x.cfg[u].clone()));
+            let start = x.targets.len();
             for tape in 0..tapes {
                 // A fresh seeded PRNG per (node, tape): the compat rand
                 // rejection-samples ranges, so tapes must be real streams.
                 let mut rng = StdRng::seed_from_u64(0x5EED_0000_0000_0000u64 ^ u64::from(tape));
-                let t = self.alg.transition(&cfg[v], &signal, &mut rng);
-                if t != cfg[v] && !targets.contains(&t) {
-                    targets.push(t);
+                let t = self.alg.transition(&x.cfg[v], &signal, &mut rng);
+                if t != x.cfg[v] && !x.targets[start..].contains(&t) {
+                    x.targets.push(t);
                 }
             }
-            if !targets.is_empty() {
-                out.push((v, targets));
+            if x.targets.len() > start {
+                x.nodes.push(v);
+                x.bounds.push(x.targets.len());
             }
         }
-        Ok(out)
     }
 
-    /// Bitmask of nodes enabled at `cfg`.
-    fn enabled_mask(&self, cfg: &[A::State]) -> Result<u64, ExploreError> {
-        let mut mask = 0u64;
-        for (v, _) in self.enabled_targets(cfg)? {
-            mask |= 1u64 << v;
-        }
-        Ok(mask)
-    }
-
-    /// Enumerates every successor of `cfg` under the activation reduction:
-    /// one call per non-empty `(activation ⊆ enabled, target choice)`
-    /// combination, in a fixed deterministic order (odometer over nodes
-    /// ascending, inactive digit first).
-    fn for_each_successor<F>(
+    /// Expands configuration `id`: evaluates its transitions once, then
+    /// interns every successor under the activation reduction, one per
+    /// non-empty `(activation ⊆ enabled, target choice)` combination in
+    /// odometer order (nodes ascending, inactive digit first), and records
+    /// the edges.
+    fn expand(
         &mut self,
-        cfg: &[A::State],
-        targets: &[(NodeId, Vec<A::State>)],
-        mut f: F,
-    ) -> Result<(), ExploreError>
-    where
-        F: FnMut(&mut Self, u64, Vec<A::State>) -> Result<(), ExploreError>,
-    {
-        let k = targets.len();
-        if k == 0 {
-            return Ok(());
-        }
+        id: u32,
+        x: &mut Scratch<A::State>,
+        closure_violation: &mut Option<ClosureViolation>,
+    ) -> Result<(), ExploreError> {
+        x.cfg.clear();
+        x.cfg.extend(
+            self.store
+                .key(id)
+                .iter()
+                .map(|&i| self.palette[i as usize].clone()),
+        );
+        self.evaluate(x);
+        let k = x.nodes.len();
         let mut total = 1u64;
-        for (_, ts) in targets {
-            total = total.saturating_mul(ts.len() as u64 + 1);
+        for w in x.bounds.windows(2) {
+            total = total.saturating_mul((w[1] - w[0]) as u64 + 1);
             if total > MAX_BRANCH {
                 return Err(ExploreError::BranchingOverflow { successors: total });
             }
         }
-        // Odometer digit per enabled node: 0 = not activated, d = take
-        // target d-1. Skips the all-zero combination (the implicit no-op).
-        let mut digits = vec![0usize; k];
-        loop {
-            // Increment.
+        // Without a normalizer the targets are interned up front (in the
+        // order the successors would first show them), and successors are
+        // built in index space.
+        x.target_ids.clear();
+        if self.normalize.is_none() {
+            for t in &x.targets {
+                x.target_ids.push(self.intern_state(t)?);
+            }
+        }
+        self.enabled
+            .push(x.nodes.iter().fold(0u64, |mask, &v| mask | (1u64 << v)));
+
+        let src_legit = self.legit[id as usize];
+        x.digits.clear();
+        x.digits.resize(k, 0);
+        'combinations: loop {
             let mut pos = 0;
             loop {
-                digits[pos] += 1;
-                if digits[pos] <= targets[pos].1.len() {
+                if pos == k {
+                    break 'combinations;
+                }
+                x.digits[pos] += 1;
+                if x.digits[pos] <= x.bounds[pos + 1] - x.bounds[pos] {
                     break;
                 }
-                digits[pos] = 0;
+                x.digits[pos] = 0;
                 pos += 1;
-                if pos == k {
-                    return Ok(());
-                }
             }
             let mut act = 0u64;
-            let mut succ = cfg.to_vec();
-            for (slot, &d) in digits.iter().enumerate() {
-                if d != 0 {
-                    let (v, ts) = &targets[slot];
-                    act |= 1u64 << *v;
-                    succ[*v] = ts[d - 1].clone();
+            let (sid, fresh) = if self.normalize.is_none() {
+                x.key.clear();
+                x.key.extend_from_slice(self.store.key(id));
+                for (j, &d) in x.digits.iter().enumerate() {
+                    if d != 0 {
+                        let v = x.nodes[j];
+                        act |= 1u64 << v;
+                        x.key[v] = x.target_ids[x.bounds[j] + d - 1];
+                    }
                 }
+                self.intern_key(&x.key, None)?
+            } else {
+                x.succ.clone_from(&x.cfg);
+                for (j, &d) in x.digits.iter().enumerate() {
+                    if d != 0 {
+                        let v = x.nodes[j];
+                        act |= 1u64 << v;
+                        x.succ[v] = x.targets[x.bounds[j] + d - 1].clone();
+                    }
+                }
+                self.intern_states(&mut x.succ, &mut x.key)?
+            };
+            self.succ_ids.push(sid);
+            if fresh {
+                self.parent[sid as usize] = id;
+                self.parent_act[sid as usize] = act;
             }
-            f(self, act, succ)?;
+            if src_legit && !self.legit[sid as usize] && closure_violation.is_none() {
+                *closure_violation = Some((id, act, sid));
+            }
         }
-    }
-
-    /// Successor edges `(activation mask, successor id)` of a visited
-    /// configuration, regenerated on the fly.
-    fn succ_edges(&mut self, id: u32) -> Result<Vec<(u64, u32)>, ExploreError> {
-        let cfg = self.decode(id);
-        let targets = self.enabled_targets(&cfg)?;
-        let mut out = Vec::new();
-        self.for_each_successor(&cfg, &targets, |space, act, succ| {
-            let sid = space.lookup(succ);
-            out.push((act, sid));
-            Ok(())
-        })?;
-        Ok(out)
+        self.succ_offsets.push(self.succ_ids.len());
+        Ok(())
     }
 
     /// The parent-pointer chain from a seed to `id`, as trace steps.
@@ -685,12 +892,12 @@ impl<A: Algorithm> Space<'_, A> {
             cur = self.parent[cur as usize];
         }
         chain.reverse();
-        let start = self.configs[cur as usize].to_vec();
+        let start = self.config(cur);
         let steps = chain
             .into_iter()
             .map(|c| TraceStep {
                 activation: mask_nodes(self.parent_act[c as usize]),
-                config: self.configs[c as usize].to_vec(),
+                config: self.config(c),
             })
             .collect();
         (start, steps)
@@ -701,10 +908,10 @@ impl<A: Algorithm> Space<'_, A> {
         // `src` is itself legitimate, so no lead-in is needed.
         Trace {
             kind: ViolationKind::Closure,
-            start: self.configs[src as usize].to_vec(),
+            start: self.config(src),
             steps: vec![TraceStep {
                 activation: mask_nodes(act),
-                config: self.configs[succ as usize].to_vec(),
+                config: self.config(succ),
             }],
             cycle_start: None,
             fairness: Vec::new(),
@@ -718,18 +925,17 @@ impl<A: Algorithm> Space<'_, A> {
 
     /// Fair-schedule convergence: find a trap SCC of the illegitimate
     /// subgraph (cover = all nodes) or certify there is none.
-    fn fair_convergence(&mut self) -> Result<PropertyResult, ExploreError> {
-        let states = self.configs.len();
-        let (comp, comp_count) = self.tarjan_illegitimate()?;
+    fn fair_convergence(&self) -> PropertyResult {
+        let (comp, comp_count) = self.tarjan_illegitimate();
         if comp_count == 0 {
-            return Ok(PropertyResult::Certified);
+            return PropertyResult::Certified;
         }
         // Cover sweep: per component, the union of intra-component
         // activation masks and of disabled-node masks.
         let mut cover = vec![0u64; comp_count];
         let mut size = vec![0u32; comp_count];
         let mut min_state = vec![u32::MAX; comp_count];
-        for id in 0..states as u32 {
+        for id in 0..self.store.len as u32 {
             let c = comp[id as usize];
             if c == u32::MAX {
                 continue;
@@ -739,12 +945,10 @@ impl<A: Algorithm> Space<'_, A> {
             if min_state[cidx] == u32::MAX {
                 min_state[cidx] = id;
             }
-            let cfg = self.decode(id);
-            let enabled = self.enabled_mask(&cfg)?;
-            cover[cidx] |= !enabled & self.full_mask;
-            for (act, sid) in self.succ_edges(id)? {
+            cover[cidx] |= !self.enabled[id as usize] & self.full_mask;
+            for (j, &sid) in self.succs(id).iter().enumerate() {
                 if comp[sid as usize] == c {
-                    cover[cidx] |= act;
+                    cover[cidx] |= self.activation(id, j);
                 }
             }
         }
@@ -754,13 +958,13 @@ impl<A: Algorithm> Space<'_, A> {
             .filter(|&c| cover[c] == self.full_mask)
             .min_by_key(|&c| min_state[c]);
         let Some(trap) = trap else {
-            return Ok(PropertyResult::Certified);
+            return PropertyResult::Certified;
         };
         let entry = min_state[trap];
         if size[trap] == 1 {
             // Singleton with full cover = silent illegitimate configuration.
             let (start, steps) = self.seed_path(entry);
-            return Ok(PropertyResult::Violated(Box::new(Trace {
+            return PropertyResult::Violated(Box::new(Trace {
                 kind: ViolationKind::Deadlock,
                 start,
                 steps,
@@ -770,7 +974,7 @@ impl<A: Algorithm> Space<'_, A> {
                     "silent illegitimate configuration #{entry}: no node is enabled, \
                      so no schedule can make further progress"
                 ),
-            })));
+            }));
         }
         self.fair_cycle_trace(&comp, trap as u32, entry)
     }
@@ -778,9 +982,9 @@ impl<A: Algorithm> Space<'_, A> {
     /// Tarjan's SCC algorithm (iterative) over the illegitimate subgraph.
     /// Returns the component id per configuration (`u32::MAX` for
     /// legitimate ones) and the component count.
-    fn tarjan_illegitimate(&mut self) -> Result<(Vec<u32>, usize), ExploreError> {
+    fn tarjan_illegitimate(&self) -> (Vec<u32>, usize) {
         const UNVISITED: u32 = u32::MAX;
-        let states = self.configs.len();
+        let states = self.store.len;
         let mut index = vec![UNVISITED; states];
         let mut low = vec![0u32; states];
         let mut comp = vec![u32::MAX; states];
@@ -788,8 +992,8 @@ impl<A: Algorithm> Space<'_, A> {
         let mut stack: Vec<u32> = Vec::new();
         let mut next_index = 0u32;
         let mut comp_count = 0u32;
-        // Frame: (node, illegitimate successors, next child position).
-        let mut frames: Vec<(u32, Vec<u32>, usize)> = Vec::new();
+        // Frame: (node, position of its next edge in `succ_ids`).
+        let mut frames: Vec<(u32, usize)> = Vec::new();
 
         for root in 0..states as u32 {
             if self.legit[root as usize] || index[root as usize] != UNVISITED {
@@ -800,21 +1004,19 @@ impl<A: Algorithm> Space<'_, A> {
             next_index += 1;
             stack.push(root);
             on_stack[root as usize] = true;
-            frames.push((root, self.illegit_succs(root)?, 0));
-            loop {
-                let (v, next_child) = {
-                    let Some(frame) = frames.last_mut() else {
+            frames.push((root, self.succ_offsets[root as usize]));
+            while let Some(frame) = frames.last_mut() {
+                let v = frame.0;
+                let end = self.succ_offsets[v as usize + 1];
+                let mut next_child = None;
+                while frame.1 < end {
+                    let w = self.succ_ids[frame.1];
+                    frame.1 += 1;
+                    if !self.legit[w as usize] {
+                        next_child = Some(w);
                         break;
-                    };
-                    let v = frame.0;
-                    if frame.2 < frame.1.len() {
-                        let w = frame.1[frame.2];
-                        frame.2 += 1;
-                        (v, Some(w))
-                    } else {
-                        (v, None)
                     }
-                };
+                }
                 match next_child {
                     Some(w) => {
                         if index[w as usize] == UNVISITED {
@@ -823,8 +1025,7 @@ impl<A: Algorithm> Space<'_, A> {
                             next_index += 1;
                             stack.push(w);
                             on_stack[w as usize] = true;
-                            let succs = self.illegit_succs(w)?;
-                            frames.push((w, succs, 0));
+                            frames.push((w, self.succ_offsets[w as usize]));
                         } else if on_stack[w as usize] {
                             low[v as usize] = low[v as usize].min(index[w as usize]);
                         }
@@ -842,7 +1043,7 @@ impl<A: Algorithm> Space<'_, A> {
                             }
                             comp_count += 1;
                         }
-                        if let Some(frame) = frames.last_mut() {
+                        if let Some(frame) = frames.last() {
                             let p = frame.0;
                             low[p as usize] = low[p as usize].min(low[v as usize]);
                         }
@@ -850,16 +1051,7 @@ impl<A: Algorithm> Space<'_, A> {
                 }
             }
         }
-        Ok((comp, comp_count as usize))
-    }
-
-    fn illegit_succs(&mut self, id: u32) -> Result<Vec<u32>, ExploreError> {
-        Ok(self
-            .succ_edges(id)?
-            .into_iter()
-            .filter(|&(_, sid)| !self.legit[sid as usize])
-            .map(|(_, sid)| sid)
-            .collect())
+        (comp, comp_count as usize)
     }
 
     /// Builds the fair-cycle counterexample for trap component `trap`,
@@ -867,12 +1059,7 @@ impl<A: Algorithm> Space<'_, A> {
     /// inside the component that discharges every node's fairness
     /// obligation (by a state-changing activation or by a no-op activation
     /// at a configuration where the node is disabled).
-    fn fair_cycle_trace(
-        &mut self,
-        comp: &[u32],
-        trap: u32,
-        entry: u32,
-    ) -> Result<PropertyResult, ExploreError> {
+    fn fair_cycle_trace(&self, comp: &[u32], trap: u32, entry: u32) -> PropertyResult {
         let (start, mut steps) = self.seed_path(entry);
         let cycle_start = steps.len();
         let mut fairness: Vec<FairnessWitness> = Vec::new();
@@ -880,9 +1067,7 @@ impl<A: Algorithm> Space<'_, A> {
         let mut cur = entry;
 
         while remaining != 0 {
-            let cfg = self.decode(cur);
-            let enabled = self.enabled_mask(&cfg)?;
-            let noop = !enabled & self.full_mask & remaining;
+            let noop = !self.enabled[cur as usize] & self.full_mask & remaining;
             if noop != 0 {
                 for v in mask_nodes(noop) {
                     fairness.push(FairnessWitness {
@@ -892,7 +1077,7 @@ impl<A: Algorithm> Space<'_, A> {
                     });
                     steps.push(TraceStep {
                         activation: vec![v],
-                        config: self.configs[cur as usize].to_vec(),
+                        config: self.config(cur),
                     });
                 }
                 remaining &= !noop;
@@ -901,7 +1086,7 @@ impl<A: Algorithm> Space<'_, A> {
             // Walk (inside the component) to the nearest configuration that
             // discharges some remaining node — by being disabled there, or
             // by an intra-component edge activating it.
-            let (path, witness_edge) = self.bfs_to_witness(comp, trap, cur, remaining)?;
+            let (path, witness_edge) = self.bfs_to_witness(comp, trap, cur, remaining);
             for (act, sid) in path.into_iter().chain(witness_edge) {
                 for v in mask_nodes(act & remaining) {
                     fairness.push(FairnessWitness {
@@ -913,21 +1098,21 @@ impl<A: Algorithm> Space<'_, A> {
                 remaining &= !act;
                 steps.push(TraceStep {
                     activation: mask_nodes(act),
-                    config: self.configs[sid as usize].to_vec(),
+                    config: self.config(sid),
                 });
                 cur = sid;
             }
         }
         if cur != entry {
-            for (act, sid) in self.bfs_path(comp, trap, cur, entry)? {
+            for (act, sid) in self.bfs_path(comp, trap, cur, entry) {
                 steps.push(TraceStep {
                     activation: mask_nodes(act),
-                    config: self.configs[sid as usize].to_vec(),
+                    config: self.config(sid),
                 });
             }
         }
         let cycle_len = steps.len() - cycle_start;
-        Ok(PropertyResult::Violated(Box::new(Trace {
+        PropertyResult::Violated(Box::new(Trace {
             kind: ViolationKind::FairCycle,
             start,
             steps,
@@ -938,7 +1123,7 @@ impl<A: Algorithm> Space<'_, A> {
                  repeating it activates every node infinitely often yet never reaches \
                  the legitimate set"
             ),
-        })))
+        }))
     }
 
     /// BFS inside component `trap` from `cur` to the nearest configuration
@@ -947,27 +1132,26 @@ impl<A: Algorithm> Space<'_, A> {
     /// itself.
     #[allow(clippy::type_complexity)]
     fn bfs_to_witness(
-        &mut self,
+        &self,
         comp: &[u32],
         trap: u32,
         cur: u32,
         remaining: u64,
-    ) -> Result<(Vec<(u64, u32)>, Option<(u64, u32)>), ExploreError> {
+    ) -> (Vec<(u64, u32)>, Option<(u64, u32)>) {
         let mut prev: HashMap<u32, (u32, u64)> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
         prev.insert(cur, (cur, 0));
         queue.push_back(cur);
         while let Some(s) = queue.pop_front() {
-            let cfg = self.decode(s);
-            let enabled = self.enabled_mask(&cfg)?;
-            if s != cur && (!enabled & self.full_mask & remaining) != 0 {
-                return Ok((self.unwind(&prev, cur, s), None));
+            if s != cur && (!self.enabled[s as usize] & self.full_mask & remaining) != 0 {
+                return (self.unwind(&prev, cur, s), None);
             }
             let mut witness: Option<(u64, u32)> = None;
-            for (act, sid) in self.succ_edges(s)? {
+            for (j, &sid) in self.succs(s).iter().enumerate() {
                 if comp[sid as usize] != trap {
                     continue;
                 }
+                let act = self.activation(s, j);
                 if act & remaining != 0 && witness.is_none() {
                     witness = Some((act, sid));
                 }
@@ -977,7 +1161,7 @@ impl<A: Algorithm> Space<'_, A> {
                 }
             }
             if let Some(w) = witness {
-                return Ok((self.unwind(&prev, cur, s), Some(w)));
+                return (self.unwind(&prev, cur, s), Some(w));
             }
         }
         unreachable!("trap component cover guarantees a witness for every node")
@@ -985,25 +1169,19 @@ impl<A: Algorithm> Space<'_, A> {
 
     /// BFS inside component `trap` from `cur` to `dest`; returns the edge
     /// path. Strong connectivity of the component guarantees one exists.
-    fn bfs_path(
-        &mut self,
-        comp: &[u32],
-        trap: u32,
-        cur: u32,
-        dest: u32,
-    ) -> Result<Vec<(u64, u32)>, ExploreError> {
+    fn bfs_path(&self, comp: &[u32], trap: u32, cur: u32, dest: u32) -> Vec<(u64, u32)> {
         let mut prev: HashMap<u32, (u32, u64)> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
         prev.insert(cur, (cur, 0));
         queue.push_back(cur);
         while let Some(s) = queue.pop_front() {
             if s == dest {
-                return Ok(self.unwind(&prev, cur, dest));
+                return self.unwind(&prev, cur, dest);
             }
-            for (act, sid) in self.succ_edges(s)? {
+            for (j, &sid) in self.succs(s).iter().enumerate() {
                 if comp[sid as usize] == trap {
                     if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(sid) {
-                        e.insert((s, act));
+                        e.insert((s, self.activation(s, j)));
                         queue.push_back(sid);
                     }
                 }
@@ -1026,8 +1204,8 @@ impl<A: Algorithm> Space<'_, A> {
 
     /// Reachability-only convergence (randomized relations): every explored
     /// configuration must have some path to the legitimate set.
-    fn reachability_convergence(&mut self) -> Result<PropertyResult, ExploreError> {
-        let states = self.configs.len();
+    fn reachability_convergence(&self) -> PropertyResult {
+        let states = self.store.len;
         let mut reach = self.legit.clone();
         loop {
             let mut changed = false;
@@ -1035,11 +1213,7 @@ impl<A: Algorithm> Space<'_, A> {
                 if reach[id as usize] {
                     continue;
                 }
-                if self
-                    .succ_edges(id)?
-                    .iter()
-                    .any(|&(_, sid)| reach[sid as usize])
-                {
+                if self.succs(id).iter().any(|&sid| reach[sid as usize]) {
                     reach[id as usize] = true;
                     changed = true;
                 }
@@ -1050,10 +1224,10 @@ impl<A: Algorithm> Space<'_, A> {
         }
         let stuck = (0..states as u32).find(|&id| !reach[id as usize]);
         let Some(stuck) = stuck else {
-            return Ok(PropertyResult::Certified);
+            return PropertyResult::Certified;
         };
         let (start, steps) = self.seed_path(stuck);
-        Ok(PropertyResult::Violated(Box::new(Trace {
+        PropertyResult::Violated(Box::new(Trace {
             kind: ViolationKind::LegitimacyUnreachable,
             start,
             steps,
@@ -1063,7 +1237,7 @@ impl<A: Algorithm> Space<'_, A> {
                 "configuration #{stuck} has no path to the legitimate set under the \
                  sampled transition relation"
             ),
-        })))
+        }))
     }
 }
 
@@ -1288,5 +1462,124 @@ mod tests {
         )
         .expect_err("budget must trip");
         assert_eq!(err, ExploreError::BudgetExceeded { budget: 10 });
+    }
+
+    /// Builds the successor graph of every configuration over `values`
+    /// local states and checks each stored edge: the activation decoded from
+    /// the edge ordinal, applied to the source through
+    /// [`Algorithm::transition`], must give the stored successor.
+    fn assert_edges_replay<A: Algorithm<State = u8>>(alg: &A, graph: &Graph, values: u8) {
+        let config = ExploreConfig::default();
+        let mut space = Space::new(alg, graph, &uniform, None, &config).expect("space");
+        space
+            .build(
+                &mut all_configs(values, graph.node_count()).into_iter(),
+                &config,
+                &mut |_| {},
+            )
+            .expect("build");
+        assert!(space.deterministic);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut hood = Vec::new();
+        let mut edges = 0;
+        for id in 0..space.store.len as u32 {
+            let cfg = space.decode(id);
+            let enabled = space.enabled[id as usize];
+            let succs = space.succs(id);
+            assert_eq!(succs.len() as u64, (1u64 << enabled.count_ones()) - 1);
+            for (j, &sid) in succs.iter().enumerate() {
+                let act = space.activation(id, j);
+                assert!(act != 0 && act & !enabled == 0, "edge {j} of #{id}");
+                let mut next = cfg.clone();
+                for v in mask_nodes(act) {
+                    graph.closed_neighborhood_into(v, &mut hood);
+                    let signal = Signal::from_states(hood.iter().map(|&u| cfg[u]));
+                    next[v] = alg.transition(&cfg[v], &signal, &mut rng);
+                    assert_ne!(next[v], cfg[v], "activated node {v} of #{id} is enabled");
+                }
+                assert_eq!(space.decode(sid), next, "edge {j} of configuration #{id}");
+                edges += 1;
+            }
+        }
+        assert!(edges > 0);
+        assert_eq!(edges, space.succ_ids.len());
+    }
+
+    #[test]
+    fn stored_edges_replay_through_the_transition_function() {
+        assert_edges_replay(&MinConsensus { values: 3 }, &Graph::path(3), 3);
+        assert_edges_replay(&MaxConsensus, &Graph::cycle(4), 3);
+        assert_edges_replay(&Toggle, &Graph::path(3), 2);
+    }
+
+    /// Randomized toy: a node that senses disagreement redraws its bit from
+    /// a coin; a node that senses agreement keeps it.
+    struct CoinConsensus;
+
+    impl Algorithm for CoinConsensus {
+        type State = u8;
+        type Output = u8;
+
+        fn output(&self, state: &u8) -> Option<u8> {
+            Some(*state)
+        }
+
+        fn transition(&self, state: &u8, signal: &Signal<u8>, rng: &mut dyn rand::RngCore) -> u8 {
+            if signal.len() > 1 {
+                (rng.next_u32() & 1) as u8
+            } else {
+                *state
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "coin-consensus"
+        }
+    }
+
+    #[test]
+    fn coin_consensus_certifies_possible_convergence() {
+        let report = explore(
+            &CoinConsensus,
+            &Graph::path(3),
+            &mut all_configs(2, 3).into_iter(),
+            &uniform,
+            None,
+            &ExploreConfig::default(),
+            &mut |_| {},
+        )
+        .expect("explore");
+        assert!(!report.stats.deterministic);
+        assert_eq!(report.convergence_mode, ConvergenceMode::ReachabilityOnly);
+        assert_eq!(report.stats.states, 8);
+        assert_eq!(report.stats.legitimate, 2);
+        assert!(report.closure.is_certified());
+        assert!(report.convergence.is_certified());
+    }
+
+    #[test]
+    fn coin_consensus_on_the_wrong_value_is_unreachable() {
+        // Oracle: "every node holds 1". From [0, 1] the coins can also
+        // settle on [0, 0], which is silent, so the legitimate set is out of
+        // reach from there.
+        let report = explore(
+            &CoinConsensus,
+            &Graph::path(2),
+            &mut std::iter::once(vec![0, 1]),
+            &|_, cfg: &[u8]| cfg.iter().all(|&v| v == 1),
+            None,
+            &ExploreConfig::default(),
+            &mut |_| {},
+        )
+        .expect("explore");
+        assert_eq!(report.convergence_mode, ConvergenceMode::ReachabilityOnly);
+        assert_eq!(report.stats.states, 4);
+        assert!(report.closure.is_certified());
+        let trace = report.convergence.trace().expect("convergence violated");
+        assert_eq!(trace.kind, ViolationKind::LegitimacyUnreachable);
+        assert_eq!(report.decode(&trace.start), vec![0, 1]);
+        assert_eq!(trace.steps.len(), 1, "one step from the seed");
+        assert_eq!(trace.steps[0].activation, vec![1]);
+        assert_eq!(report.decode(&trace.steps[0].config), vec![0, 0]);
     }
 }

@@ -148,11 +148,13 @@ impl JsonValue {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects nested more than 128
+    /// levels deep are rejected with an error.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -180,6 +182,11 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Arrays and objects nested deeper than this are rejected, so hostile input
+/// cannot exhaust the parser's stack (the same limit as the binary
+/// checkpoint codec's).
+const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with the byte offset at which it occurred.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -200,6 +207,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -244,11 +253,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses a container one level deeper, refusing to pass `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -470,6 +493,20 @@ mod tests {
         // the emitted document stays parseable
         let v = JsonValue::Array(vec![JsonValue::Number(f64::NAN)]);
         assert!(JsonValue::parse(&v.render()).is_ok());
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&objects).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = JsonValue::parse(&past).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        // Deep enough to overflow an uncapped recursive-descent parser.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

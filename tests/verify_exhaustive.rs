@@ -6,12 +6,18 @@
 //! (replayed step by step through [`Execution`] to confirm the trace
 //! demonstrates a real violation) and the LE composite's closure violation
 //! over the *observational* legitimacy oracle (the documented caveat, see
-//! `docs/verify.md`). Everything here must be deterministic across runs.
+//! `docs/verify.md`). Everything here must be deterministic across runs,
+//! and every committed verify spec must render exactly the bytes kept
+//! under `tests/golden/verify/`.
 
 use sa_bench::sweep::SweepSpec;
-use sa_bench::verify::{render_verify_json, trace_json, verify_units};
+use sa_bench::verify::{
+    render_verify_json, render_verify_markdown, trace_json, trace_transcript, verify_units,
+};
 use sa_model::explore::{explore, ExploreConfig, ViolationKind};
 use sa_model::{Execution, Graph, StateSpace};
+use std::collections::BTreeMap;
+use std::path::Path;
 use unison_core::baseline::{reset_attempt_legitimate, ResetAttempt, ResetTurn};
 
 fn verify_spec(text: &str) -> SweepSpec {
@@ -183,26 +189,77 @@ fn le_observational_oracle_closure_caveat() {
     assert_eq!(trace.steps.len(), 1, "closure counterexamples are one step");
 }
 
+/// Renders a spec's reports to the files `sa verify` writes, as
+/// `(path relative to the output directory, bytes)` pairs.
+fn render_outputs(spec: &SweepSpec) -> BTreeMap<String, String> {
+    let reports = run_units(spec);
+    let mut files = BTreeMap::new();
+    let mut json = render_verify_json(&spec.name, &reports).render_pretty();
+    json.push('\n');
+    files.insert("VERIFY.json".to_string(), json);
+    files.insert(
+        "VERIFY.md".to_string(),
+        render_verify_markdown(&spec.name, &reports),
+    );
+    for report in &reports {
+        for (property, trace) in report.traces() {
+            let stem = format!("traces/{}.{property}", report.unit_id);
+            let mut doc = trace_json(report, property, trace).render_pretty();
+            doc.push('\n');
+            files.insert(format!("{stem}.json"), doc);
+            files.insert(
+                format!("{stem}.txt"),
+                trace_transcript(report, property, trace),
+            );
+        }
+    }
+    files
+}
+
+/// Every committed verify spec renders byte-for-byte the `VERIFY.json`,
+/// `VERIFY.md` and trace files under `tests/golden/verify/<spec>/`. The
+/// golden files pin the verdicts and counts, the palette discovery order,
+/// the configuration ids quoted in trace notes, and every activation set of
+/// every counterexample, so any drift in the explorer shows up here. A
+/// deliberate output change regenerates them with
+/// `sa verify examples/specs/<spec>.json --out tests/golden/verify/<spec>`.
 #[test]
 fn verify_results_deterministic_across_runs() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/specs/verify-broken.json"
-    ))
-    .expect("committed spec readable");
-    let spec = verify_spec(&text);
-    let a = run_units(&spec);
-    let b = run_units(&spec);
-    assert_eq!(
-        render_verify_json("verify-broken", &a).render_pretty(),
-        render_verify_json("verify-broken", &b).render_pretty(),
-        "VERIFY.json must be byte-identical across runs"
-    );
-    let ta = a[0].convergence_trace.as_ref().unwrap();
-    let tb = b[0].convergence_trace.as_ref().unwrap();
-    assert_eq!(
-        trace_json(&a[0], "convergence", ta).render_pretty(),
-        trace_json(&b[0], "convergence", tb).render_pretty(),
-        "trace JSON must be byte-identical across runs"
-    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for name in [
+        "verify-algau",
+        "verify-broken",
+        "verify-composites",
+        "verify-min-plus-one",
+    ] {
+        let text = std::fs::read_to_string(root.join(format!("examples/specs/{name}.json")))
+            .expect("committed spec readable");
+        let rendered = render_outputs(&verify_spec(&text));
+        let golden_dir = root.join("tests/golden/verify").join(name);
+        let mut golden = BTreeMap::new();
+        for sub in ["", "traces"] {
+            let Ok(entries) = std::fs::read_dir(golden_dir.join(sub)) else {
+                continue;
+            };
+            for entry in entries {
+                let path = entry.expect("golden entry").path();
+                if path.is_file() {
+                    let rel = path.strip_prefix(&golden_dir).expect("under golden dir");
+                    let bytes = std::fs::read_to_string(&path).expect("golden file readable");
+                    golden.insert(rel.to_string_lossy().into_owned(), bytes);
+                }
+            }
+        }
+        assert_eq!(
+            rendered.keys().collect::<Vec<_>>(),
+            golden.keys().collect::<Vec<_>>(),
+            "{name}: rendered file set differs from the golden set"
+        );
+        for (file, bytes) in &rendered {
+            assert!(
+                *bytes == golden[file],
+                "{name}/{file} differs from tests/golden/verify/{name}/{file}"
+            );
+        }
+    }
 }
