@@ -32,6 +32,7 @@
 
 pub mod au_experiments;
 pub mod bio_experiments;
+pub(crate) mod family;
 pub mod jobs;
 pub mod protocol_experiments;
 pub mod report;

@@ -22,10 +22,10 @@
 //! baseline of experiment E9, and the asynchronous leader-election and MIS
 //! algorithms obtained from AlgLE/AlgMIS through the synchronizer of
 //! Corollary 1.2 (`"le"`, `"mis"` — the protocol workloads of experiments
-//! E5–E7). Every algorithm family supplies its own legitimacy oracle, task
-//! checker, fault palette and checkpoint codec; the phase machine
-//! ([`run_unit`]) is shared, so checkpoint/resume bit-identity holds
-//! uniformly across the axis.
+//! E5–E7). Each family's starts, fault palette, legitimacy predicate, task
+//! checker and checkpoint codec come from its entry in the family table
+//! (`family.rs`); the phase machine ([`run_unit`]) is shared, so
+//! checkpoint/resume bit-identity holds uniformly across the axis.
 //!
 //! # Fault-recovery scenarios
 //!
@@ -51,11 +51,12 @@
 //! [`run_stabilization_on_graph`]) so that the bench targets and the CLI
 //! cannot drift apart.
 
+use crate::family::{with_family, AuFamily, State, SweepFamily};
 use crate::report::ExperimentReport;
 use bio_networks::Harshness;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sa_model::algorithm::{Algorithm, LegitimacyOracle, StateSpace};
+use sa_model::algorithm::StateSpace;
 use sa_model::checker::{push_violation, violations_capped, TaskChecker};
 use sa_model::engine::EngineKind;
 use sa_model::executor::{Execution, ExecutionBuilder};
@@ -68,16 +69,10 @@ use sa_model::scheduler::{
     AdversarialLaggardScheduler, CentralScheduler, RoundRobinScheduler, Scheduler,
     SynchronousScheduler, UniformRandomScheduler,
 };
-use sa_model::snapshot::{u64_from_json, u64_to_json, ExecutionSnapshot};
+use sa_model::snapshot::{u64_from_json, u64_to_json};
 use sa_model::topology::Topology;
-use sa_protocols::le::LeState;
-use sa_protocols::mis::MisState;
-use sa_protocols::restart::RestartState;
 use sa_runtime::parallel::CancelToken;
-use sa_synchronizer::{async_le, async_mis, AsyncLe, AsyncMis, SyncState};
-use unison_core::baseline::min_plus_one::min_plus_one_legitimate;
-use unison_core::baseline::{MinPlusOne, MinPlusOneChecker, MinPlusOneOracle};
-use unison_core::{AlgAu, AuChecker, GoodGraphOracle, Predicates, Turn};
+use unison_core::AlgAu;
 
 /// Errors from spec parsing and unit execution, as human-readable strings
 /// (the CLI prints them verbatim).
@@ -285,45 +280,18 @@ pub struct ScenarioTask {
 // The algorithm axis
 // ---------------------------------------------------------------------------
 
-/// A declarative algorithm selection — the sweep's `algorithm` axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgorithmSpec {
-    /// The paper's asynchronous-unison algorithm AlgAU (Theorem 1.1).
-    AlgAu,
-    /// The unbounded-register `min + 1` unison baseline (experiment E9).
-    MinPlusOne,
-    /// Asynchronous leader election: AlgLE through the synchronizer
-    /// (Theorem 1.3 + Corollary 1.2).
-    AsyncLe,
-    /// Asynchronous MIS: AlgMIS through the synchronizer (Theorem 1.4 +
-    /// Corollary 1.2).
-    AsyncMis,
-}
+pub use crate::family::AlgorithmSpec;
 
-impl AlgorithmSpec {
-    /// A stable label used in unit ids and report rows.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AlgorithmSpec::AlgAu => "algau",
-            AlgorithmSpec::MinPlusOne => "min-plus-one",
-            AlgorithmSpec::AsyncLe => "le",
-            AlgorithmSpec::AsyncMis => "mis",
-        }
-    }
-
-    fn from_json(value: &JsonValue, ctx: &str) -> Result<Self, SpecError> {
-        match value.as_str() {
-            Some("algau") => Ok(AlgorithmSpec::AlgAu),
-            Some("min-plus-one") => Ok(AlgorithmSpec::MinPlusOne),
-            Some("le") => Ok(AlgorithmSpec::AsyncLe),
-            Some("mis") => Ok(AlgorithmSpec::AsyncMis),
-            Some(other) => Err(format!(
-                "{ctx}: unknown algorithm \"{other}\" (expected \"algau\", \
-                 \"min-plus-one\", \"le\" or \"mis\")"
-            )),
-            None => Err(format!("{ctx}: algorithm must be a string")),
-        }
-    }
+fn algorithm_from_json(value: &JsonValue, ctx: &str) -> Result<AlgorithmSpec, SpecError> {
+    let label = value
+        .as_str()
+        .ok_or_else(|| format!("{ctx}: algorithm must be a string"))?;
+    AlgorithmSpec::from_label(label).ok_or_else(|| {
+        format!(
+            "{ctx}: unknown algorithm \"{label}\" (expected \"algau\", \
+             \"min-plus-one\", \"le\" or \"mis\")"
+        )
+    })
 }
 
 /// How a unit's initial configuration is drawn.
@@ -799,7 +767,7 @@ impl SweepSpec {
                             .as_array()
                             .ok_or_else(|| format!("{ctx}: \"algorithms\" must be an array"))?
                             .iter()
-                            .map(|a| AlgorithmSpec::from_json(a, &ctx))
+                            .map(|a| algorithm_from_json(a, &ctx))
                             .collect::<Result<Vec<_>, _>>()?,
                     };
                     let topologies = field(task, "topologies", &ctx)?
@@ -1220,14 +1188,9 @@ pub fn run_unit(unit: &SweepUnit, policy: &CheckpointPolicy<'_>) -> Result<UnitO
             .verify_rounds
             .unwrap_or_else(|| default_verify_window(d)),
     };
-    match unit.algorithm {
-        AlgorithmSpec::AlgAu => run_unit_generic(&AuUnit::new(d), &graph, &params, policy),
-        AlgorithmSpec::MinPlusOne => {
-            run_unit_generic(&MinPlusOneUnit::new(d), &graph, &params, policy)
-        }
-        AlgorithmSpec::AsyncLe => run_unit_generic(&AsyncLeUnit::new(d), &graph, &params, policy),
-        AlgorithmSpec::AsyncMis => run_unit_generic(&AsyncMisUnit::new(d), &graph, &params, policy),
-    }
+    with_family!(unit.algorithm, d, |family| {
+        run_unit_generic(family, &graph, &params, policy)
+    })
 }
 
 /// Runs an AlgAU stabilization measurement on an explicit graph, with
@@ -1261,7 +1224,7 @@ pub fn run_stabilization_on_graph(
     policy: &CheckpointPolicy<'_>,
 ) -> Result<UnitOutcome, SpecError> {
     run_unit_generic(
-        &AuUnit::new(diameter_bound),
+        &AuFamily::new(diameter_bound),
         graph,
         &UnitParams {
             scheduler,
@@ -1278,600 +1241,6 @@ pub fn run_stabilization_on_graph(
 }
 
 // ---------------------------------------------------------------------------
-// The algorithm bundles behind the axis
-// ---------------------------------------------------------------------------
-
-/// Shorthand for a bundle's state type.
-type UState<B> = <<B as UnitAlgorithm>::A as Algorithm>::State;
-
-/// Everything the generic unit runner needs from one algorithm family on the
-/// sweep's `algorithm` axis: the algorithm instance, initial configurations,
-/// the fault palette, the legitimacy oracle, the task checker and the
-/// checkpoint codec for its states.
-trait UnitAlgorithm {
-    /// The concrete algorithm type.
-    type A: Algorithm;
-
-    /// The algorithm instance.
-    fn algorithm(&self) -> &Self::A;
-
-    /// Builds the unit's initial configuration.
-    fn initial(&self, init: InitSpec, n: usize, seed: u64) -> Vec<UState<Self>>;
-
-    /// The palette transient faults (and recovery bursts) draw corrupted
-    /// states from.
-    fn fault_palette(&self) -> &[UState<Self>];
-
-    /// The task's legitimacy predicate.
-    fn is_legitimate(&self, graph: &Graph, config: &[UState<Self>]) -> bool;
-
-    /// [`UnitAlgorithm::is_legitimate`] decomposed into per-node conjuncts
-    /// for the incremental [`LegitimacyTracker`], or `None` if the oracle
-    /// does not decompose (every round check then runs the full predicate).
-    /// Must agree with `is_legitimate` on every configuration — pinned by
-    /// the `SA_FORCE_FULL_ORACLE` CI legs and `tests/oracle_equivalence.rs`.
-    fn local_oracle(&self) -> Option<&dyn LocalPredicate<UState<Self>>> {
-        None
-    }
-
-    /// [`UnitAlgorithm::check_snapshot`]-emptiness decomposed into per-node
-    /// conjuncts (`None`: the verification window scans every round).
-    fn local_snapshot(&self) -> Option<&dyn LocalPredicate<UState<Self>>> {
-        None
-    }
-
-    /// Safety check of a single configuration (verification window).
-    fn check_snapshot(&self, graph: &Graph, config: &[UState<Self>]) -> Vec<String>;
-
-    /// Liveness check over the verification window.
-    fn check_window(&self, graph: &Graph, changes: &[u64], rounds: u64) -> Vec<String>;
-
-    /// Serializes an execution snapshot (`None` if a state cannot be
-    /// encoded, e.g. it left the palette the codec indexes into).
-    fn encode_snapshot(&self, snap: &ExecutionSnapshot<UState<Self>>) -> Option<JsonValue>;
-
-    /// Deserializes a snapshot produced by
-    /// [`UnitAlgorithm::encode_snapshot`].
-    fn decode_snapshot(&self, value: &JsonValue) -> Option<ExecutionSnapshot<UState<Self>>>;
-}
-
-/// Draws every node's state uniformly from `candidates` with the same seed
-/// derivation as
-/// [`ExecutionBuilder::random_initial`](sa_model::executor::ExecutionBuilder::random_initial),
-/// so the pre-axis AlgAU unit trajectories are preserved exactly.
-fn random_configuration<S: Clone>(candidates: &[S], n: usize, seed: u64) -> Vec<S> {
-    assert!(!candidates.is_empty(), "need at least one candidate state");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    (0..n)
-        .map(|_| candidates[rng.gen_range(0..candidates.len())].clone())
-        .collect()
-}
-
-/// `algorithm = "algau"`: the paper's asynchronous-unison algorithm.
-struct AuUnit {
-    alg: AlgAu,
-    palette: Vec<Turn>,
-    oracle: GoodGraphOracle,
-    checker: AuChecker,
-}
-
-impl AuUnit {
-    fn new(diameter_bound: usize) -> Self {
-        let alg = AlgAu::new(diameter_bound);
-        AuUnit {
-            alg,
-            palette: alg.states(),
-            oracle: GoodGraphOracle::new(alg),
-            // The unit's bound stands in for the exact diameter in the
-            // liveness window (sound: it only weakens the requirement) —
-            // million-node units must not pay an all-pairs BFS per window.
-            checker: AuChecker::new(alg).with_diameter_bound(diameter_bound as u64),
-        }
-    }
-}
-
-impl UnitAlgorithm for AuUnit {
-    type A = AlgAu;
-
-    fn algorithm(&self) -> &AlgAu {
-        &self.alg
-    }
-
-    fn initial(&self, init: InitSpec, n: usize, seed: u64) -> Vec<Turn> {
-        match init {
-            InitSpec::Random => random_configuration(&self.palette, n, seed),
-            InitSpec::Benign => vec![Turn::Able(1); n],
-        }
-    }
-
-    fn fault_palette(&self) -> &[Turn] {
-        &self.palette
-    }
-
-    fn is_legitimate(&self, graph: &Graph, config: &[Turn]) -> bool {
-        self.oracle.is_legitimate(graph, config)
-    }
-
-    fn local_oracle(&self) -> Option<&dyn LocalPredicate<Turn>> {
-        Some(&self.oracle)
-    }
-
-    fn local_snapshot(&self) -> Option<&dyn LocalPredicate<Turn>> {
-        Some(&self.checker)
-    }
-
-    fn check_snapshot(&self, graph: &Graph, config: &[Turn]) -> Vec<String> {
-        self.checker.check_snapshot(graph, config)
-    }
-
-    fn check_window(&self, graph: &Graph, changes: &[u64], rounds: u64) -> Vec<String> {
-        self.checker.check_window(graph, changes, rounds)
-    }
-
-    fn encode_snapshot(&self, snap: &ExecutionSnapshot<Turn>) -> Option<JsonValue> {
-        snap.to_json_indexed(&self.palette)
-    }
-
-    fn decode_snapshot(&self, value: &JsonValue) -> Option<ExecutionSnapshot<Turn>> {
-        ExecutionSnapshot::from_json_indexed(value, &self.palette)
-    }
-}
-
-/// `algorithm = "min-plus-one"`: the unbounded-register unison baseline.
-struct MinPlusOneUnit {
-    alg: MinPlusOne,
-    checker: MinPlusOneChecker,
-    /// Deterministic clock palette for adversarial starts and fault draws:
-    /// every in-range clock value plus two far-out outliers (the baseline's
-    /// register is unbounded, so faults may land anywhere).
-    palette: Vec<u64>,
-}
-
-impl MinPlusOneUnit {
-    fn new(diameter_bound: usize) -> Self {
-        let d = diameter_bound as u64;
-        let mut palette: Vec<u64> = (0..=2 * d + 2).collect();
-        palette.push(10 * (d + 1));
-        palette.push(100 * (d + 1));
-        MinPlusOneUnit {
-            alg: MinPlusOne::new(),
-            checker: MinPlusOneChecker::default().with_diameter_bound(d),
-            palette,
-        }
-    }
-}
-
-impl UnitAlgorithm for MinPlusOneUnit {
-    type A = MinPlusOne;
-
-    fn algorithm(&self) -> &MinPlusOne {
-        &self.alg
-    }
-
-    fn initial(&self, init: InitSpec, n: usize, seed: u64) -> Vec<u64> {
-        match init {
-            InitSpec::Random => random_configuration(&self.palette, n, seed),
-            InitSpec::Benign => vec![0; n],
-        }
-    }
-
-    fn fault_palette(&self) -> &[u64] {
-        &self.palette
-    }
-
-    fn is_legitimate(&self, graph: &Graph, config: &[u64]) -> bool {
-        min_plus_one_legitimate(graph, config)
-    }
-
-    fn local_oracle(&self) -> Option<&dyn LocalPredicate<u64>> {
-        Some(&MinPlusOneOracle)
-    }
-
-    fn local_snapshot(&self) -> Option<&dyn LocalPredicate<u64>> {
-        Some(&self.checker)
-    }
-
-    fn check_snapshot(&self, graph: &Graph, config: &[u64]) -> Vec<String> {
-        self.checker.check_snapshot(graph, config)
-    }
-
-    fn check_window(&self, graph: &Graph, changes: &[u64], rounds: u64) -> Vec<String> {
-        self.checker.check_window(graph, changes, rounds)
-    }
-
-    fn encode_snapshot(&self, snap: &ExecutionSnapshot<u64>) -> Option<JsonValue> {
-        Some(snap.to_json(|s| u64_to_json(*s)))
-    }
-
-    fn decode_snapshot(&self, value: &JsonValue) -> Option<ExecutionSnapshot<u64>> {
-        ExecutionSnapshot::from_json(value, u64_from_json)
-    }
-}
-
-/// Encodes a composite synchronizer state as `{c, p, t}` palette indices
-/// (the full composite product `|Q|²·|T|` is far too large to index
-/// directly, but its three coordinates are each small).
-fn encode_sync_state<S: PartialEq>(
-    state: &SyncState<S>,
-    inner_palette: &[S],
-    turns: &[Turn],
-) -> Option<JsonValue> {
-    let pos = |s: &S| inner_palette.iter().position(|p| p == s);
-    let turn = turns.iter().position(|t| t == &state.turn)?;
-    Some(JsonValue::object([
-        (
-            "c".to_string(),
-            JsonValue::Number(pos(&state.current)? as f64),
-        ),
-        (
-            "p".to_string(),
-            JsonValue::Number(pos(&state.previous)? as f64),
-        ),
-        ("t".to_string(), JsonValue::Number(turn as f64)),
-    ]))
-}
-
-/// Decodes a state encoded by [`encode_sync_state`].
-fn decode_sync_state<S: Clone>(
-    value: &JsonValue,
-    inner_palette: &[S],
-    turns: &[Turn],
-) -> Option<SyncState<S>> {
-    Some(SyncState {
-        current: inner_palette.get(value.get("c")?.as_usize()?)?.clone(),
-        previous: inner_palette.get(value.get("p")?.as_usize()?)?.clone(),
-        turn: *turns.get(value.get("t")?.as_usize()?)?,
-    })
-}
-
-/// The shared snapshot codec of the two synchronizer bundles: each
-/// composite state encodes exactly once through [`encode_sync_state`].
-fn encode_composite_snapshot<S: PartialEq>(
-    snap: &ExecutionSnapshot<SyncState<S>>,
-    inner_palette: &[S],
-    turns: &[Turn],
-) -> Option<JsonValue> {
-    snap.try_to_json(|s| encode_sync_state(s, inner_palette, turns))
-}
-
-/// Per-node decomposition of [`AsyncLeUnit::is_legitimate`]: AU-turn
-/// goodness of the composite's clock coordinate conjoined with "no cell
-/// mid-reset", *weighted* by the leader bit with target 1 ("exactly one
-/// leader" is the aggregate clause the tracker maintains as a running sum).
-struct LeLocalOracle {
-    unison: AlgAu,
-}
-
-impl LocalPredicate<SyncState<RestartState<LeState>>> for LeLocalOracle {
-    fn node_ok(
-        &self,
-        graph: &Graph,
-        config: &[SyncState<RestartState<LeState>>],
-        v: usize,
-    ) -> bool {
-        Predicates::new(&self.unison, graph).node_good_by(|u| config[u].turn, v)
-            && bio_networks::colony_node_ok(config, v)
-    }
-
-    fn node_weight(&self, config: &[SyncState<RestartState<LeState>>], v: usize) -> i64 {
-        bio_networks::colony_leader_weight(config, v)
-    }
-
-    fn weighted(&self) -> bool {
-        true
-    }
-
-    fn weight_target(&self) -> i64 {
-        1
-    }
-
-    fn uniform_ok(&self, _graph: &Graph, state: &SyncState<RestartState<LeState>>) -> Option<bool> {
-        let level = state.turn.level();
-        Some(
-            state.turn.is_able()
-                && self.unison.levels().adjacent(level, level)
-                && !matches!(&state.current, RestartState::Restart(_)),
-        )
-    }
-}
-
-/// Per-node decomposition of the LE verification-window safety check
-/// ([`sa_synchronizer::SynchronizedChecker`] over
-/// [`sa_protocols::le::LeChecker`]): no cell mid-reset, exactly one leader.
-struct LeLocalSnapshot;
-
-impl LocalPredicate<SyncState<RestartState<LeState>>> for LeLocalSnapshot {
-    fn node_ok(
-        &self,
-        _graph: &Graph,
-        config: &[SyncState<RestartState<LeState>>],
-        v: usize,
-    ) -> bool {
-        bio_networks::colony_node_ok(config, v)
-    }
-
-    fn node_weight(&self, config: &[SyncState<RestartState<LeState>>], v: usize) -> i64 {
-        bio_networks::colony_leader_weight(config, v)
-    }
-
-    fn weighted(&self) -> bool {
-        true
-    }
-
-    fn weight_target(&self) -> i64 {
-        1
-    }
-
-    fn uniform_ok(&self, _graph: &Graph, state: &SyncState<RestartState<LeState>>) -> Option<bool> {
-        Some(!matches!(&state.current, RestartState::Restart(_)))
-    }
-}
-
-/// Per-node decomposition of [`AsyncMisUnit::is_legitimate`]: AU-turn
-/// goodness conjoined with the tissue pattern's per-cell condition
-/// ([`bio_networks::tissue_node_ok`]).
-struct MisLocalOracle {
-    unison: AlgAu,
-}
-
-impl LocalPredicate<SyncState<RestartState<MisState>>> for MisLocalOracle {
-    fn node_ok(
-        &self,
-        graph: &Graph,
-        config: &[SyncState<RestartState<MisState>>],
-        v: usize,
-    ) -> bool {
-        Predicates::new(&self.unison, graph).node_good_by(|u| config[u].turn, v)
-            && bio_networks::tissue_node_ok(graph, config, v)
-    }
-
-    fn uniform_ok(&self, graph: &Graph, state: &SyncState<RestartState<MisState>>) -> Option<bool> {
-        let level = state.turn.level();
-        Some(
-            state.turn.is_able()
-                && self.unison.levels().adjacent(level, level)
-                && bio_networks::tissue_uniform_ok(graph, state),
-        )
-    }
-}
-
-/// Per-node decomposition of the MIS verification-window safety check
-/// ([`sa_synchronizer::SynchronizedChecker`] over
-/// [`sa_protocols::mis::MisChecker`]): every cell a decided host whose
-/// decision is locally consistent.
-struct MisLocalSnapshot;
-
-impl LocalPredicate<SyncState<RestartState<MisState>>> for MisLocalSnapshot {
-    fn node_ok(
-        &self,
-        graph: &Graph,
-        config: &[SyncState<RestartState<MisState>>],
-        v: usize,
-    ) -> bool {
-        bio_networks::tissue_node_ok(graph, config, v)
-    }
-
-    fn uniform_ok(&self, graph: &Graph, state: &SyncState<RestartState<MisState>>) -> Option<bool> {
-        Some(bio_networks::tissue_uniform_ok(graph, state))
-    }
-}
-
-/// `algorithm = "le"`: AlgLE through the synchronizer (asynchronous leader
-/// election).
-struct AsyncLeUnit {
-    alg: AsyncLe,
-    inner_palette: Vec<RestartState<LeState>>,
-    turns: Vec<Turn>,
-    fault_palette: Vec<SyncState<RestartState<LeState>>>,
-    local_oracle: LeLocalOracle,
-}
-
-impl AsyncLeUnit {
-    fn new(diameter_bound: usize) -> Self {
-        let alg = async_le(diameter_bound);
-        let inner_palette = alg.inner().states();
-        let turns = alg.unison().states();
-        // Representative corrupted states — arbitrary clocks × arbitrary
-        // leader claims (mirrors `bio_networks::colony_leader_recovery`);
-        // the full composite product is too large to sample uniformly.
-        let mut fault_palette = Vec::new();
-        for &turn in &turns {
-            for leader in [false, true] {
-                use sa_protocols::restart::RestartableAlgorithm;
-                let mut host = alg.inner().host().initial_state();
-                host.leader = leader;
-                host.stage = sa_protocols::le::Stage::Verification;
-                fault_palette.push(SyncState {
-                    current: RestartState::Host(host),
-                    previous: RestartState::Host(host),
-                    turn,
-                });
-            }
-        }
-        let unison = *alg.unison();
-        AsyncLeUnit {
-            alg,
-            inner_palette,
-            turns,
-            fault_palette,
-            local_oracle: LeLocalOracle { unison },
-        }
-    }
-}
-
-impl UnitAlgorithm for AsyncLeUnit {
-    type A = AsyncLe;
-
-    fn algorithm(&self) -> &AsyncLe {
-        &self.alg
-    }
-
-    fn initial(&self, init: InitSpec, n: usize, seed: u64) -> Vec<UState<Self>> {
-        match init {
-            InitSpec::Random => sa_synchronizer::random_composite_configuration(
-                &self.inner_palette,
-                self.alg.unison(),
-                n,
-                seed ^ 0x9e37_79b9_7f4a_7c15,
-            ),
-            InitSpec::Benign => vec![self.alg.fresh_state(); n],
-        }
-    }
-
-    fn fault_palette(&self) -> &[UState<Self>] {
-        &self.fault_palette
-    }
-
-    fn is_legitimate(&self, graph: &Graph, config: &[UState<Self>]) -> bool {
-        // The AU coordinate must be good (the synchronizer's closure
-        // argument needs a stabilized clock before the simulated rounds are
-        // trustworthy) and the projected task state must show exactly one
-        // leader with no cell mid-reset.
-        //
-        // This oracle is *observational*: on dense graphs an adversarial
-        // random start can transiently satisfy it while the simulated epoch
-        // state is still inconsistent, in which case the verification window
-        // correctly reports the subsequent restart as a violation. Scenario
-        // units avoid the coincidence by starting benign.
-        let turns: Vec<Turn> = config.iter().map(|s| s.turn).collect();
-        Predicates::new(self.alg.unison(), graph).graph_good(&turns)
-            && bio_networks::colony_leader_legitimate(graph, config)
-    }
-
-    fn local_oracle(&self) -> Option<&dyn LocalPredicate<UState<Self>>> {
-        Some(&self.local_oracle)
-    }
-
-    fn local_snapshot(&self) -> Option<&dyn LocalPredicate<UState<Self>>> {
-        Some(&LeLocalSnapshot)
-    }
-
-    fn check_snapshot(&self, graph: &Graph, config: &[UState<Self>]) -> Vec<String> {
-        self.alg.checker().check_snapshot(graph, config)
-    }
-
-    fn check_window(&self, graph: &Graph, changes: &[u64], rounds: u64) -> Vec<String> {
-        self.alg.checker().check_window(graph, changes, rounds)
-    }
-
-    fn encode_snapshot(&self, snap: &ExecutionSnapshot<UState<Self>>) -> Option<JsonValue> {
-        encode_composite_snapshot(snap, &self.inner_palette, &self.turns)
-    }
-
-    fn decode_snapshot(&self, value: &JsonValue) -> Option<ExecutionSnapshot<UState<Self>>> {
-        ExecutionSnapshot::from_json(value, |v| {
-            decode_sync_state(v, &self.inner_palette, &self.turns)
-        })
-    }
-}
-
-/// `algorithm = "mis"`: AlgMIS through the synchronizer (asynchronous
-/// maximal independent set).
-struct AsyncMisUnit {
-    alg: AsyncMis,
-    inner_palette: Vec<RestartState<MisState>>,
-    turns: Vec<Turn>,
-    fault_palette: Vec<SyncState<RestartState<MisState>>>,
-    local_oracle: MisLocalOracle,
-}
-
-impl AsyncMisUnit {
-    fn new(diameter_bound: usize) -> Self {
-        let alg = async_mis(diameter_bound);
-        let inner_palette = alg.inner().states();
-        let turns = alg.unison().states();
-        // Representative corrupted states — arbitrary clocks × arbitrary
-        // decisions (mirrors `bio_networks::tissue_mis_availability`).
-        let mut fault_palette = Vec::new();
-        for &turn in &turns {
-            for decision in [
-                sa_protocols::mis::Decision::Undecided,
-                sa_protocols::mis::Decision::In,
-                sa_protocols::mis::Decision::Out,
-            ] {
-                use sa_protocols::restart::RestartableAlgorithm;
-                let mut host = alg.inner().host().initial_state();
-                host.decision = decision;
-                host.detect_id = if decision == sa_protocols::mis::Decision::In {
-                    1
-                } else {
-                    0
-                };
-                fault_palette.push(SyncState {
-                    current: RestartState::Host(host),
-                    previous: RestartState::Host(host),
-                    turn,
-                });
-            }
-        }
-        let unison = *alg.unison();
-        AsyncMisUnit {
-            alg,
-            inner_palette,
-            turns,
-            fault_palette,
-            local_oracle: MisLocalOracle { unison },
-        }
-    }
-}
-
-impl UnitAlgorithm for AsyncMisUnit {
-    type A = AsyncMis;
-
-    fn algorithm(&self) -> &AsyncMis {
-        &self.alg
-    }
-
-    fn initial(&self, init: InitSpec, n: usize, seed: u64) -> Vec<UState<Self>> {
-        match init {
-            InitSpec::Random => sa_synchronizer::random_composite_configuration(
-                &self.inner_palette,
-                self.alg.unison(),
-                n,
-                seed ^ 0x9e37_79b9_7f4a_7c15,
-            ),
-            InitSpec::Benign => vec![self.alg.fresh_state(); n],
-        }
-    }
-
-    fn fault_palette(&self) -> &[UState<Self>] {
-        &self.fault_palette
-    }
-
-    fn is_legitimate(&self, graph: &Graph, config: &[UState<Self>]) -> bool {
-        let turns: Vec<Turn> = config.iter().map(|s| s.turn).collect();
-        Predicates::new(self.alg.unison(), graph).graph_good(&turns)
-            && bio_networks::tissue_pattern_legitimate(graph, config)
-    }
-
-    fn local_oracle(&self) -> Option<&dyn LocalPredicate<UState<Self>>> {
-        Some(&self.local_oracle)
-    }
-
-    fn local_snapshot(&self) -> Option<&dyn LocalPredicate<UState<Self>>> {
-        Some(&MisLocalSnapshot)
-    }
-
-    fn check_snapshot(&self, graph: &Graph, config: &[UState<Self>]) -> Vec<String> {
-        self.alg.checker().check_snapshot(graph, config)
-    }
-
-    fn check_window(&self, graph: &Graph, changes: &[u64], rounds: u64) -> Vec<String> {
-        self.alg.checker().check_window(graph, changes, rounds)
-    }
-
-    fn encode_snapshot(&self, snap: &ExecutionSnapshot<UState<Self>>) -> Option<JsonValue> {
-        encode_composite_snapshot(snap, &self.inner_palette, &self.turns)
-    }
-
-    fn decode_snapshot(&self, value: &JsonValue) -> Option<ExecutionSnapshot<UState<Self>>> {
-        ExecutionSnapshot::from_json(value, |v| {
-            decode_sync_state(v, &self.inner_palette, &self.turns)
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The shared phase machine
 // ---------------------------------------------------------------------------
 
@@ -1880,23 +1249,21 @@ impl UnitAlgorithm for AsyncMisUnit {
 /// `verify_rounds` rounds with safety checks at every boundary and a
 /// liveness check over the window) and, for scenario units, **recover**: a
 /// series of fault bursts, each scrambling `burst_size` nodes with states
-/// drawn from the bundle's fault palette, each recovery measured in rounds
+/// drawn from the family's fault palette, each recovery measured in rounds
 /// against a fresh `max_rounds` budget.
 ///
 /// Checkpoint/resume covers every phase: burst draws are pure functions of
 /// `(seed, burst index)`, the burst bookkeeping is part of the checkpoint
 /// document and bursts fire atomically with the phase transition, so a
 /// resumed unit replays the exact run of an uninterrupted one.
-fn run_unit_generic<B: UnitAlgorithm>(
-    bundle: &B,
+fn run_unit_generic<F: SweepFamily>(
+    family: &F,
     graph: &Graph,
     params: &UnitParams<'_>,
     policy: &CheckpointPolicy<'_>,
 ) -> Result<UnitOutcome, SpecError> {
-    let alg = bundle.algorithm();
+    let alg = family.algorithm();
     let seed = params.seed;
-    let max_rounds = params.max_rounds;
-    let verify_rounds = params.verify_rounds;
     let recovery = params.recovery.unwrap_or(RecoveryPlan {
         bursts: 0,
         burst_size: 0,
@@ -1906,7 +1273,7 @@ fn run_unit_generic<B: UnitAlgorithm>(
         FaultPlan::None => None,
         plan => Some(FaultInjector::new(
             plan.clone(),
-            bundle.fault_palette().to_vec(),
+            family.fault_palette().to_vec(),
             seed ^ 0xFA01_7BAD_5EED_0001,
         )),
     };
@@ -1916,129 +1283,75 @@ fn run_unit_generic<B: UnitAlgorithm>(
     // check (active in the verification window). Each tracker is fed the
     // changed-node lists only while its phase is active and reseeded at
     // phase transitions, so its knowledge is always exact when queried.
-    // `SA_FORCE_FULL_ORACLE=1` (or a bundle without a decomposition) falls
-    // back to the full-scan checks; CI pins both paths to identical output.
-    let local_oracle = if force_full_oracle() {
-        None
-    } else {
-        bundle.local_oracle()
+    let mut oracle = Tracked::new(family.local_oracle(), graph);
+    let mut snapshot = Tracked::new(family.local_snapshot(), graph);
+    let legitimate = |oracle: &mut Tracked<'_, State<F>>, config: &[State<F>]| {
+        oracle
+            .holds(graph, config)
+            .unwrap_or_else(|| family.is_legitimate(graph, config))
     };
-    let local_snapshot = if force_full_oracle() {
-        None
-    } else {
-        bundle.local_snapshot()
-    };
-    let mut oracle_tracker = local_oracle.map(|_| LegitimacyTracker::new(graph));
-    let mut snapshot_tracker = local_snapshot.map(|_| LegitimacyTracker::new(graph));
     let mut timings = StepTimings::default();
 
-    // Mutable measurement state beyond the execution itself.
-    let mut phase;
-    let mut stab_rounds: Option<u64>;
-    let mut stab_steps: Option<u64>;
-    let mut violations: Vec<String>;
-    let mut verify_start_round: u64;
-    let mut verification_rounds: u64;
-    let mut bursts_injected: u64;
-    let mut burst_start_round: u64;
-    let mut recovery_rounds: Vec<u64>;
-    let mut unrecovered: u64;
-
-    let mut exec: Execution<'_, B::A> = match policy.resume_from {
+    let (mut exec, mut p) = match policy.resume_from {
         Some(doc) => {
             let snap = field(doc, "execution", "checkpoint").and_then(|v| {
-                bundle
+                family
                     .decode_snapshot(v)
                     .ok_or_else(|| "checkpoint: malformed execution snapshot".to_string())
             })?;
-            let opt_u64 = |key: &str| -> Result<Option<u64>, SpecError> {
-                match doc.get(key) {
-                    None | Some(JsonValue::Null) => Ok(None),
-                    Some(v) => u64_from_json(v)
-                        .map(Some)
-                        .ok_or_else(|| format!("checkpoint: malformed {key}")),
-                }
-            };
-            let req_u64 = |key: &str| -> Result<u64, SpecError> {
-                u64_from_json(field(doc, key, "checkpoint")?)
-                    .ok_or_else(|| format!("checkpoint: malformed {key}"))
-            };
-            phase = req_u64("phase")?;
-            stab_rounds = opt_u64("stab_rounds")?;
-            stab_steps = opt_u64("stab_steps")?;
-            violations = field(doc, "violations", "checkpoint")?
-                .as_array()
-                .ok_or("checkpoint: malformed violations")?
-                .iter()
-                .map(|v| v.as_str().map(str::to_string))
-                .collect::<Option<_>>()
-                .ok_or("checkpoint: malformed violations")?;
-            verify_start_round = req_u64("verify_start_round")?;
-            verification_rounds = req_u64("verification_rounds")?;
-            bursts_injected = req_u64("bursts_injected")?;
-            burst_start_round = req_u64("burst_start_round")?;
-            recovery_rounds = field(doc, "recovery_rounds", "checkpoint")?
-                .as_array()
-                .ok_or("checkpoint: malformed recovery_rounds")?
-                .iter()
-                .map(u64_from_json)
-                .collect::<Option<_>>()
-                .ok_or("checkpoint: malformed recovery_rounds")?;
-            unrecovered = req_u64("unrecovered")?;
-            sched.restore_position(req_u64("scheduler_position")?);
+            let progress = Progress::from_json(doc)?;
+            sched.restore_position(
+                u64_from_json(field(doc, "scheduler_position", "checkpoint")?)
+                    .ok_or("checkpoint: malformed scheduler_position")?,
+            );
             if let Some(injector) = injector.as_mut() {
                 let snap_json = field(doc, "injector", "checkpoint")?;
                 let snap = FaultInjectorSnapshot::from_json(snap_json)
                     .ok_or("checkpoint: malformed injector snapshot")?;
                 injector.restore(&snap);
             }
-            ExecutionBuilder::new(alg, graph)
+            let exec = ExecutionBuilder::new(alg, graph)
                 .engine(params.engine)
-                .resume(&snap)
+                .resume(&snap);
+            (exec, progress)
         }
         None => {
-            phase = PHASE_STABILIZING;
-            stab_rounds = None;
-            stab_steps = None;
-            violations = Vec::new();
-            verify_start_round = 0;
-            verification_rounds = 0;
-            bursts_injected = 0;
-            burst_start_round = 0;
-            recovery_rounds = Vec::new();
-            unrecovered = 0;
             let mut exec = ExecutionBuilder::new(alg, graph)
                 .seed(seed)
                 .engine(params.engine)
-                .initial(bundle.initial(params.init, graph.node_count(), seed));
+                .initial(match params.init {
+                    InitSpec::Random => family.random_start(graph.node_count(), seed),
+                    InitSpec::Benign => vec![family.benign(); graph.node_count()],
+                });
+            let mut p = Progress::default();
             // Legitimacy is checked at time 0 (an adversarial configuration
             // may already be good; a benign one usually is).
-            let legitimate_at_start = match (local_oracle, oracle_tracker.as_mut()) {
-                (Some(local), Some(tracker)) => {
-                    tracker.is_legitimate(local, graph, exec.configuration())
-                }
-                _ => bundle.is_legitimate(graph, exec.configuration()),
-            };
-            if legitimate_at_start {
-                stab_rounds = Some(0);
-                stab_steps = Some(0);
-                phase = PHASE_VERIFYING;
+            if legitimate(&mut oracle, exec.configuration()) {
+                p.stab_rounds = Some(0);
+                p.stab_steps = Some(0);
+                p.phase = PHASE_VERIFYING;
                 exec.take_output_change_counts();
-                verify_start_round = 0;
             }
-            exec
+            (exec, p)
         }
     };
 
-    // A recovery burst: scramble `burst_size` distinct nodes with palette
-    // states. The draw is a pure function of `(seed, burst index)`, so no
-    // extra RNG stream needs checkpointing — a resumed unit that already
-    // counted the burst as injected never re-draws it.
-    let inject_burst = |exec: &mut Execution<'_, B::A>, burst_idx: u64| {
+    // Starts the next recovery burst, if one remains: scramble `burst_size`
+    // distinct nodes with palette states. The draw is a pure function of
+    // `(seed, burst index)`, so no extra RNG stream needs checkpointing — a
+    // resumed unit that already counted the burst as injected never
+    // re-draws it. The burst corrupts states outside the step pipeline, so
+    // the oracle tracker restarts from a scan.
+    let next_burst = |exec: &mut Execution<'_, F::A>,
+                      p: &mut Progress,
+                      oracle: &mut Tracked<'_, State<F>>| {
+        if p.bursts_injected >= recovery.bursts {
+            return false;
+        }
         let mut rng = StdRng::seed_from_u64(
-            seed ^ 0xB125_7B12_57B1_257B ^ burst_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            seed ^ 0xB125_7B12_57B1_257B ^ p.bursts_injected.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let palette = bundle.fault_palette();
+        let palette = family.fault_palette();
         let n = graph.node_count();
         let count = recovery.burst_size.min(n);
         let mut nodes: Vec<usize> = (0..n).collect();
@@ -2050,117 +1363,67 @@ fn run_unit_generic<B: UnitAlgorithm>(
             let s = palette[rng.gen_range(0..palette.len())].clone();
             exec.corrupt(v, s);
         }
+        p.bursts_injected += 1;
+        p.burst_start_round = exec.rounds();
+        oracle.reseed();
+        true
     };
 
-    #[allow(clippy::too_many_arguments)]
-    let make_checkpoint = |exec: &Execution<'_, B::A>,
-                           sched: &dyn Scheduler,
-                           injector: &Option<FaultInjector<UState<B>>>,
-                           phase: u64,
-                           stab_rounds: Option<u64>,
-                           stab_steps: Option<u64>,
-                           violations: &[String],
-                           verify_start_round: u64,
-                           verification_rounds: u64,
-                           bursts_injected: u64,
-                           burst_start_round: u64,
-                           recovery_rounds: &[u64],
-                           unrecovered: u64|
+    let checkpoint = |exec: &Execution<'_, F::A>,
+                      sched: &dyn Scheduler,
+                      injector: &Option<FaultInjector<State<F>>>,
+                      p: &Progress|
      -> Result<JsonValue, SpecError> {
-        let snap = bundle
+        let snap = family
             .encode_snapshot(&exec.snapshot())
             .ok_or("checkpoint: a state left the algorithm's palette")?;
-        Ok(JsonValue::object([
-            ("execution".to_string(), snap),
-            ("phase".to_string(), u64_to_json(phase)),
-            (
-                "stab_rounds".to_string(),
-                stab_rounds.map_or(JsonValue::Null, u64_to_json),
-            ),
-            (
-                "stab_steps".to_string(),
-                stab_steps.map_or(JsonValue::Null, u64_to_json),
-            ),
-            (
-                "violations".to_string(),
-                JsonValue::Array(
-                    violations
-                        .iter()
-                        .map(|v| JsonValue::String(v.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "verify_start_round".to_string(),
-                u64_to_json(verify_start_round),
-            ),
-            (
-                "verification_rounds".to_string(),
-                u64_to_json(verification_rounds),
-            ),
-            ("bursts_injected".to_string(), u64_to_json(bursts_injected)),
-            (
-                "burst_start_round".to_string(),
-                u64_to_json(burst_start_round),
-            ),
-            (
-                "recovery_rounds".to_string(),
-                JsonValue::Array(recovery_rounds.iter().copied().map(u64_to_json).collect()),
-            ),
-            ("unrecovered".to_string(), u64_to_json(unrecovered)),
-            (
-                "scheduler_position".to_string(),
-                u64_to_json(sched.checkpoint_position()),
-            ),
-            (
-                "injector".to_string(),
-                injector
-                    .as_ref()
-                    .map_or(JsonValue::Null, |i| i.snapshot().to_json()),
-            ),
-        ]))
+        let mut fields = p.to_json();
+        fields.push(("execution".to_string(), snap));
+        fields.push((
+            "scheduler_position".to_string(),
+            u64_to_json(sched.checkpoint_position()),
+        ));
+        fields.push((
+            "injector".to_string(),
+            injector
+                .as_ref()
+                .map_or(JsonValue::Null, |i| i.snapshot().to_json()),
+        ));
+        Ok(JsonValue::object(fields))
     };
 
     let mut steps_this_invocation: u64 = 0;
     loop {
         // Phase exit and transition conditions are evaluated at step
         // boundaries only.
-        if phase == PHASE_STABILIZING && stab_rounds.is_none() && exec.rounds() >= max_rounds {
+        if p.phase == PHASE_STABILIZING
+            && p.stab_rounds.is_none()
+            && exec.rounds() >= params.max_rounds
+        {
             break; // budget exhausted
         }
-        if phase == PHASE_VERIFYING && exec.rounds() >= verify_start_round + verify_rounds {
+        if p.phase == PHASE_VERIFYING
+            && exec.rounds() >= p.verify_start_round + params.verify_rounds
+        {
             let changes = exec.output_change_counts().to_vec();
-            verification_rounds = exec.rounds() - verify_start_round;
-            for v in bundle.check_window(graph, &changes, verification_rounds) {
-                push_violation(&mut violations, v);
+            p.verification_rounds = exec.rounds() - p.verify_start_round;
+            for v in family
+                .checker()
+                .check_window(graph, &changes, p.verification_rounds)
+            {
+                push_violation(&mut p.violations, v);
             }
-            if bursts_injected < recovery.bursts {
-                inject_burst(&mut exec, bursts_injected);
-                bursts_injected += 1;
-                burst_start_round = exec.rounds();
-                phase = PHASE_RECOVERING;
-                // The oracle tracker was idle through the window and the
-                // burst corrupted states outside the step pipeline.
-                if let Some(tracker) = oracle_tracker.as_mut() {
-                    tracker.reseed();
-                }
-            } else {
+            if !next_burst(&mut exec, &mut p, &mut oracle) {
                 break;
             }
+            p.phase = PHASE_RECOVERING;
         }
-        if phase == PHASE_RECOVERING && exec.rounds() >= burst_start_round + max_rounds {
+        if p.phase == PHASE_RECOVERING && exec.rounds() >= p.burst_start_round + params.max_rounds {
             // This burst's recovery budget is exhausted; move on (the next
             // burst starts from wherever the failed recovery left the
             // system — faults compose in a real environment).
-            unrecovered += 1;
-            if bursts_injected < recovery.bursts {
-                inject_burst(&mut exec, bursts_injected);
-                bursts_injected += 1;
-                burst_start_round = exec.rounds();
-                if let Some(tracker) = oracle_tracker.as_mut() {
-                    tracker.reseed();
-                }
-            } else {
+            p.unrecovered += 1;
+            if !next_burst(&mut exec, &mut p, &mut oracle) {
                 break;
             }
         }
@@ -2171,21 +1434,7 @@ fn run_unit_generic<B: UnitAlgorithm>(
             .is_some_and(|allowance| steps_this_invocation >= allowance);
         let interrupted_by_cancel = policy.cancel.is_some_and(CancelToken::is_cancelled);
         if interrupted_by_allowance || interrupted_by_cancel {
-            let doc = make_checkpoint(
-                &exec,
-                sched.as_ref(),
-                &injector,
-                phase,
-                stab_rounds,
-                stab_steps,
-                &violations,
-                verify_start_round,
-                verification_rounds,
-                bursts_injected,
-                burst_start_round,
-                &recovery_rounds,
-                unrecovered,
-            )?;
+            let doc = checkpoint(&exec, sched.as_ref(), &injector, &p)?;
             if let Some(sink) = policy.sink {
                 sink(&doc);
             }
@@ -2199,162 +1448,205 @@ fn run_unit_generic<B: UnitAlgorithm>(
         // Feed the phase-active tracker this step's changed-node list (the
         // executor's dirty frontier) so its badness bitset stays exact.
         let oracle_start = std::time::Instant::now();
-        match phase {
-            PHASE_VERIFYING => {
-                if let (Some(local), Some(tracker)) = (local_snapshot, snapshot_tracker.as_mut()) {
-                    tracker.note_step(
-                        local,
-                        graph,
-                        exec.configuration(),
-                        exec.last_changed(),
-                        exec.last_step_uniform(),
-                    );
-                }
-            }
-            _ => {
-                if let (Some(local), Some(tracker)) = (local_oracle, oracle_tracker.as_mut()) {
-                    tracker.note_step(
-                        local,
-                        graph,
-                        exec.configuration(),
-                        exec.last_changed(),
-                        exec.last_step_uniform(),
-                    );
-                }
-            }
-        }
+        let active = if p.phase == PHASE_VERIFYING {
+            &mut snapshot
+        } else {
+            &mut oracle
+        };
+        active.note(
+            graph,
+            exec.configuration(),
+            exec.last_changed(),
+            exec.last_step_uniform(),
+        );
         if outcome.round_completed {
             timings.oracle_rounds += 1;
-            if phase == PHASE_STABILIZING {
-                let legitimate = match (local_oracle, oracle_tracker.as_mut()) {
-                    (Some(local), Some(tracker)) => {
-                        tracker.is_legitimate(local, graph, exec.configuration())
-                    }
-                    _ => bundle.is_legitimate(graph, exec.configuration()),
-                };
-                if legitimate {
-                    stab_rounds = Some(exec.rounds());
-                    stab_steps = Some(exec.time());
-                    phase = PHASE_VERIFYING;
+            match p.phase {
+                PHASE_STABILIZING if legitimate(&mut oracle, exec.configuration()) => {
+                    p.stab_rounds = Some(exec.rounds());
+                    p.stab_steps = Some(exec.time());
+                    p.phase = PHASE_VERIFYING;
                     exec.take_output_change_counts();
-                    verify_start_round = exec.rounds();
+                    p.verify_start_round = exec.rounds();
                     // The snapshot tracker saw none of the stabilizing
                     // steps; start it from a scan.
-                    if let Some(tracker) = snapshot_tracker.as_mut() {
-                        tracker.reseed();
-                    }
+                    snapshot.reseed();
                 }
-            } else if phase == PHASE_VERIFYING {
-                // With a decomposed snapshot check, a clean round is decided
-                // incrementally and the O(n) violation enumeration runs only
-                // on rounds that actually violate safety (and only until
-                // the recorded-violation cap).
-                let clean = match (local_snapshot, snapshot_tracker.as_mut()) {
-                    (Some(local), Some(tracker)) => {
-                        tracker.is_legitimate(local, graph, exec.configuration())
-                    }
-                    _ => false, // no decomposition: the scan below decides
-                };
-                if !clean && !violations_capped(&violations) {
-                    for v in bundle.check_snapshot(graph, exec.configuration()) {
-                        push_violation(&mut violations, format!("round {}: {v}", exec.rounds()));
-                    }
-                }
-            } else if phase == PHASE_RECOVERING {
-                let legitimate = match (local_oracle, oracle_tracker.as_mut()) {
-                    (Some(local), Some(tracker)) => {
-                        tracker.is_legitimate(local, graph, exec.configuration())
-                    }
-                    _ => bundle.is_legitimate(graph, exec.configuration()),
-                };
-                if legitimate {
-                    recovery_rounds.push(exec.rounds() - burst_start_round);
-                    if bursts_injected < recovery.bursts {
-                        inject_burst(&mut exec, bursts_injected);
-                        bursts_injected += 1;
-                        burst_start_round = exec.rounds();
-                        if let Some(tracker) = oracle_tracker.as_mut() {
-                            tracker.reseed();
+                PHASE_VERIFYING => {
+                    // A clean round is decided incrementally; the O(n)
+                    // violation enumeration runs only on rounds that
+                    // actually violate safety (and only until the
+                    // recorded-violation cap).
+                    let clean = snapshot.holds(graph, exec.configuration());
+                    if clean != Some(true) && !violations_capped(&p.violations) {
+                        for v in family.checker().check_snapshot(graph, exec.configuration()) {
+                            let v = format!("round {}: {v}", exec.rounds());
+                            push_violation(&mut p.violations, v);
                         }
-                    } else {
-                        phase = PHASE_DONE;
                     }
                 }
+                PHASE_RECOVERING if legitimate(&mut oracle, exec.configuration()) => {
+                    p.recovery_rounds.push(exec.rounds() - p.burst_start_round);
+                    if !next_burst(&mut exec, &mut p, &mut oracle) {
+                        p.phase = PHASE_DONE;
+                    }
+                }
+                _ => {}
             }
             if let Some(injector) = injector.as_mut() {
                 // Fault victims mutate state outside the step pipeline, so
                 // they are reported to the phase-active tracker explicitly.
                 let victims = injector.on_round(&mut exec);
                 if !victims.is_empty() {
-                    match phase {
-                        PHASE_VERIFYING => {
-                            if let (Some(local), Some(tracker)) =
-                                (local_snapshot, snapshot_tracker.as_mut())
-                            {
-                                tracker.note_step(
-                                    local,
-                                    graph,
-                                    exec.configuration(),
-                                    &victims,
-                                    false,
-                                );
-                            }
-                        }
-                        _ => {
-                            if let (Some(local), Some(tracker)) =
-                                (local_oracle, oracle_tracker.as_mut())
-                            {
-                                tracker.note_step(
-                                    local,
-                                    graph,
-                                    exec.configuration(),
-                                    &victims,
-                                    false,
-                                );
-                            }
-                        }
-                    }
+                    let active = if p.phase == PHASE_VERIFYING {
+                        &mut snapshot
+                    } else {
+                        &mut oracle
+                    };
+                    active.note(graph, exec.configuration(), &victims, false);
                 }
             }
         }
         timings.oracle_ns += oracle_start.elapsed().as_nanos() as u64;
-        if phase == PHASE_DONE {
+        if p.phase == PHASE_DONE {
             break;
         }
         if policy.every_steps > 0 && exec.time().is_multiple_of(policy.every_steps) {
             if let Some(sink) = policy.sink {
-                let doc = make_checkpoint(
-                    &exec,
-                    sched.as_ref(),
-                    &injector,
-                    phase,
-                    stab_rounds,
-                    stab_steps,
-                    &violations,
-                    verify_start_round,
-                    verification_rounds,
-                    bursts_injected,
-                    burst_start_round,
-                    &recovery_rounds,
-                    unrecovered,
-                )?;
-                sink(&doc);
+                sink(&checkpoint(&exec, sched.as_ref(), &injector, &p)?);
             }
         }
     }
 
-    let burst_faults = bursts_injected * recovery.burst_size.min(graph.node_count()) as u64;
+    let burst_faults = p.bursts_injected * recovery.burst_size.min(graph.node_count()) as u64;
     Ok(UnitOutcome::Complete(UnitResult {
-        stabilization_rounds: stab_rounds,
-        stabilization_steps: stab_steps,
-        verification_rounds,
-        violations,
+        stabilization_rounds: p.stab_rounds,
+        stabilization_steps: p.stab_steps,
+        verification_rounds: p.verification_rounds,
+        violations: p.violations,
         faults_injected: injector.as_ref().map_or(0, FaultInjector::faults_injected) + burst_faults,
         total_steps: exec.time(),
-        recovery_rounds,
-        unrecovered,
+        recovery_rounds: p.recovery_rounds,
+        unrecovered: p.unrecovered,
         timings,
     }))
+}
+
+/// A family predicate and its incremental tracker. Under
+/// `SA_FORCE_FULL_ORACLE=1` there is no tracker and every query answers
+/// `None`, so the caller runs the full scan; CI pins both paths to
+/// identical output.
+struct Tracked<'p, S> {
+    local: &'p dyn LocalPredicate<S>,
+    tracker: Option<LegitimacyTracker>,
+}
+
+impl<'p, S> Tracked<'p, S> {
+    fn new(local: &'p dyn LocalPredicate<S>, graph: &Graph) -> Self {
+        Tracked {
+            local,
+            tracker: (!force_full_oracle()).then(|| LegitimacyTracker::new(graph)),
+        }
+    }
+
+    fn note(&mut self, graph: &Graph, config: &[S], changed: &[usize], uniform: bool) {
+        if let Some(tracker) = self.tracker.as_mut() {
+            tracker.note_step(self.local, graph, config, changed, uniform);
+        }
+    }
+
+    fn holds(&mut self, graph: &Graph, config: &[S]) -> Option<bool> {
+        let local = self.local;
+        self.tracker
+            .as_mut()
+            .map(|tracker| tracker.is_legitimate(local, graph, config))
+    }
+
+    fn reseed(&mut self) {
+        if let Some(tracker) = self.tracker.as_mut() {
+            tracker.reseed();
+        }
+    }
+}
+
+/// A unit's measurement state beyond its execution, scheduler and fault
+/// injector; a checkpoint carries it field by field.
+#[derive(Default)]
+struct Progress {
+    phase: u64,
+    stab_rounds: Option<u64>,
+    stab_steps: Option<u64>,
+    violations: Vec<String>,
+    verify_start_round: u64,
+    verification_rounds: u64,
+    bursts_injected: u64,
+    burst_start_round: u64,
+    recovery_rounds: Vec<u64>,
+    unrecovered: u64,
+}
+
+impl Progress {
+    fn to_json(&self) -> Vec<(String, JsonValue)> {
+        let opt = |x: Option<u64>| x.map_or(JsonValue::Null, u64_to_json);
+        let violations = self.violations.iter().cloned().map(JsonValue::String);
+        let recovery_rounds = self.recovery_rounds.iter().copied().map(u64_to_json);
+        [
+            ("phase", u64_to_json(self.phase)),
+            ("stab_rounds", opt(self.stab_rounds)),
+            ("stab_steps", opt(self.stab_steps)),
+            ("violations", JsonValue::Array(violations.collect())),
+            ("verify_start_round", u64_to_json(self.verify_start_round)),
+            ("verification_rounds", u64_to_json(self.verification_rounds)),
+            ("bursts_injected", u64_to_json(self.bursts_injected)),
+            ("burst_start_round", u64_to_json(self.burst_start_round)),
+            (
+                "recovery_rounds",
+                JsonValue::Array(recovery_rounds.collect()),
+            ),
+            ("unrecovered", u64_to_json(self.unrecovered)),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
+    }
+
+    fn from_json(doc: &JsonValue) -> Result<Self, SpecError> {
+        let malformed = |key: &str| format!("checkpoint: malformed {key}");
+        let req = |key: &str| -> Result<u64, SpecError> {
+            u64_from_json(field(doc, key, "checkpoint")?).ok_or_else(|| malformed(key))
+        };
+        let opt = |key: &str| -> Result<Option<u64>, SpecError> {
+            match doc.get(key) {
+                None | Some(JsonValue::Null) => Ok(None),
+                Some(v) => u64_from_json(v).map(Some).ok_or_else(|| malformed(key)),
+            }
+        };
+        let list = |key: &str| -> Result<&[JsonValue], SpecError> {
+            field(doc, key, "checkpoint")?
+                .as_array()
+                .ok_or_else(|| malformed(key))
+        };
+        Ok(Progress {
+            phase: req("phase")?,
+            stab_rounds: opt("stab_rounds")?,
+            stab_steps: opt("stab_steps")?,
+            violations: list("violations")?
+                .iter()
+                .map(|v| v.as_str().map(str::to_string))
+                .collect::<Option<_>>()
+                .ok_or_else(|| malformed("violations"))?,
+            verify_start_round: req("verify_start_round")?,
+            verification_rounds: req("verification_rounds")?,
+            bursts_injected: req("bursts_injected")?,
+            burst_start_round: req("burst_start_round")?,
+            recovery_rounds: list("recovery_rounds")?
+                .iter()
+                .map(u64_from_json)
+                .collect::<Option<_>>()
+                .ok_or_else(|| malformed("recovery_rounds"))?,
+            unrecovered: req("unrecovered")?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -3065,23 +2357,6 @@ mod tests {
         let md = render_markdown(&spec, &rows, &[], &done);
         assert!(md.contains("# Experiments — test-sweep"));
         assert!(md.contains("algau:rounds-to-good@serial"));
-    }
-
-    #[test]
-    fn random_configuration_matches_execution_builder_random_initial() {
-        // `random_configuration` deliberately duplicates the builder's seed
-        // derivation so pre-axis AlgAU unit trajectories are preserved; this
-        // pins the two implementations together.
-        let alg = AlgAu::new(2);
-        let palette = alg.states();
-        let g = Graph::cycle(9);
-        for seed in [0u64, 7, 0xDEAD_BEEF] {
-            let via_builder = ExecutionBuilder::new(&alg, &g)
-                .seed(seed)
-                .random_initial(&palette);
-            let via_helper = random_configuration(&palette, g.node_count(), seed);
-            assert_eq!(via_builder.configuration(), &via_helper[..], "seed {seed}");
-        }
     }
 
     #[test]

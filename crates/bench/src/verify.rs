@@ -14,51 +14,44 @@
 //! ([`trace_json`] / [`trace_transcript`]).
 //!
 //! Two seeding modes bound what "every configuration" means
-//! ([`SpaceMode`]):
+//! ([`SpaceMode`]), both over the verify palette of the algorithm's entry
+//! in the family table (`family.rs`):
 //!
-//! * `"full"` — the entire product space `Q^n` over the algorithm's
-//!   palette. Only admissible when `|Q|^n` fits the state budget; this is
-//!   the mode that certifies self-stabilization outright.
+//! * `"full"` — the entire product space `Q^n` over the palette. Only
+//!   admissible when `|Q|^n` fits the state budget and the palette spans
+//!   the family's whole state set; this is the mode that certifies
+//!   self-stabilization outright.
 //! * `"reachable"` — the benign initial configuration plus every
-//!   corruption of at most `fault_radius` nodes (states drawn from the
-//!   unit's fault palette), closed under all transitions. A weaker but
-//!   honest certificate: closure + convergence *of the explored set*,
-//!   i.e. recovery from every bounded transient fault burst, not from
-//!   arbitrary initial configurations. The composite LE/MIS algorithms
-//!   only support this mode (their product palette is astronomically
-//!   large), and their oracle is observational — see `docs/verify.md`
-//!   for exactly what is and is not certified.
+//!   corruption of at most `fault_radius` nodes with palette states,
+//!   closed under all transitions. A weaker but honest certificate:
+//!   closure + convergence *of the explored set*, i.e. recovery from
+//!   every bounded transient fault burst, not from arbitrary initial
+//!   configurations. The composite LE/MIS algorithms only support this
+//!   mode (their product state set is astronomically large), and their
+//!   oracle is observational — see `docs/verify.md` for exactly what is
+//!   and is not certified.
 //!
-//! The `min-plus-one` baseline has an unbounded register, so its
-//! configuration space is quotiented by the global minimum (subtracting
-//! `min` from every register) before interning; the transition relation
-//! is shift-equivariant and the legitimacy predicate shift-invariant, so
-//! the quotient is sound (argued in `docs/verify.md`).
-//!
-//! The deliberately-broken `reset-attempt` algorithm (the paper's
-//! Appendix A strawman) is part of the verify vocabulary precisely so the
-//! counterexample machinery has a committed demonstration: at period 3 on
-//! a 5-cycle the explorer finds the reset-wave live-lock as a fair-cycle
-//! trace.
+//! The `min-plus-one` entry quotients its unbounded configuration space by
+//! the global minimum before interning (sound, as argued in
+//! `docs/verify.md`). The deliberately-broken `reset-attempt` entry (the
+//! paper's Appendix A strawman) is part of the verify vocabulary precisely
+//! so the counterexample machinery has a committed demonstration: at
+//! period 3 on a 5-cycle the explorer finds the reset-wave live-lock as a
+//! fair-cycle trace.
 
+use crate::family::{with_family, AlgorithmSpec, Family, ResetAttemptFamily, State};
 use crate::sweep::{
-    field, topology_from_json, u64_opt, usize_field, AlgorithmSpec, SpecError, SweepSpec, SweepTask,
+    field, topology_from_json, u64_opt, usize_field, SpecError, SweepSpec, SweepTask,
 };
-use sa_model::algorithm::{Algorithm, StateSpace};
 use sa_model::explore::{
     explore, ConvergenceMode, ExploreConfig, ExploreProgress, ExploreReport, ExploreStats,
-    NormalizeFn, PropertyResult, Trace, WitnessKind, DEFAULT_COIN_TAPES, DEFAULT_MAX_STATES,
+    PropertyResult, Trace, WitnessKind, DEFAULT_COIN_TAPES, DEFAULT_MAX_STATES,
 };
 use sa_model::graph::Graph;
 use sa_model::json::JsonValue;
 use sa_model::snapshot::u64_to_json;
 use sa_model::topology::Topology;
-use sa_protocols::restart::RestartableAlgorithm;
-use sa_synchronizer::{async_le, async_mis, SyncState};
 use std::sync::OnceLock;
-use unison_core::baseline::min_plus_one::min_plus_one_legitimate;
-use unison_core::baseline::{reset_attempt_legitimate, MinPlusOne, ResetAttempt, ResetTurn};
-use unison_core::{AlgAu, Predicates, Turn};
 
 /// `SA_VERIFY_MAX_STATES`: default state budget for verify units whose
 /// spec omits `max_states` (invalid values are ignored). Read once.
@@ -144,16 +137,16 @@ impl VerifyAlgorithmSpec {
 
     fn from_json(value: &JsonValue, ctx: &str) -> Result<Self, SpecError> {
         match value.as_str() {
-            Some("algau") => Ok(VerifyAlgorithmSpec::Standard(AlgorithmSpec::AlgAu)),
-            Some("min-plus-one") => Ok(VerifyAlgorithmSpec::Standard(AlgorithmSpec::MinPlusOne)),
-            Some("le") => Ok(VerifyAlgorithmSpec::Standard(AlgorithmSpec::AsyncLe)),
-            Some("mis") => Ok(VerifyAlgorithmSpec::Standard(AlgorithmSpec::AsyncMis)),
             Some("reset-attempt") => Ok(VerifyAlgorithmSpec::ResetAttempt { period: 3 }),
-            Some(other) => Err(format!(
-                "{ctx}: unknown verify algorithm \"{other}\" (expected \"algau\", \
-                 \"min-plus-one\", \"le\", \"mis\", \"reset-attempt\" or \
-                 {{\"kind\": \"reset-attempt\", \"period\": N}})"
-            )),
+            Some(label) => AlgorithmSpec::from_label(label)
+                .map(VerifyAlgorithmSpec::Standard)
+                .ok_or_else(|| {
+                    format!(
+                        "{ctx}: unknown verify algorithm \"{label}\" (expected \"algau\", \
+                         \"min-plus-one\", \"le\", \"mis\", \"reset-attempt\" or \
+                         {{\"kind\": \"reset-attempt\", \"period\": N}})"
+                    )
+                }),
             None => match field(value, "kind", ctx)?.as_str() {
                 Some("reset-attempt") => {
                     let period = usize_field(value, "period", ctx)?;
@@ -378,262 +371,41 @@ impl VerifyUnit {
         progress: &mut dyn FnMut(ExploreProgress),
     ) -> Result<VerifyUnitReport, SpecError> {
         let graph = self.topology.build(self.graph_seed);
-        let diameter_bound = self.diameter_bound.unwrap_or_else(|| graph.diameter());
+        let d = self.diameter_bound.unwrap_or_else(|| graph.diameter());
+        match self.algorithm {
+            VerifyAlgorithmSpec::Standard(spec) => {
+                with_family!(spec, d, |family| self
+                    .explore_family(family, &graph, d, progress))
+            }
+            VerifyAlgorithmSpec::ResetAttempt { period } => {
+                self.explore_family(&ResetAttemptFamily::new(period), &graph, d, progress)
+            }
+        }
+    }
+
+    /// Seeds the family's verify space for the unit's [`SpaceMode`], runs
+    /// the explorer and converts its typed report into the display-label
+    /// form used by reports and trace files.
+    fn explore_family<F: Family>(
+        &self,
+        family: &F,
+        graph: &Graph,
+        diameter_bound: usize,
+        progress: &mut dyn FnMut(ExploreProgress),
+    ) -> Result<VerifyUnitReport, SpecError> {
         let config = ExploreConfig {
             max_states: self.effective_max_states(),
             coin_tapes: self.coin_tapes.unwrap_or(DEFAULT_COIN_TAPES),
             ..ExploreConfig::default()
         };
-        let n = graph.node_count();
-        match self.algorithm {
-            VerifyAlgorithmSpec::Standard(AlgorithmSpec::AlgAu) => {
-                let alg = AlgAu::new(diameter_bound);
-                let palette = alg.states();
-                let benign = vec![Turn::Able(1); n];
-                let seeds = self.seed_configs(n, &palette, &benign, config.max_states)?;
-                self.finish(
-                    &alg,
-                    &graph,
-                    diameter_bound,
-                    seeds,
-                    &|g: &Graph, cfg: &[Turn]| Predicates::new(&alg, g).graph_good(cfg),
-                    None,
-                    &config,
-                    progress,
-                )
-            }
-            VerifyAlgorithmSpec::Standard(AlgorithmSpec::MinPlusOne) => {
-                // The register is unbounded; seed every clock in
-                // 0..=2D+2 (faults beyond that are shift-equivalent to
-                // one of these after the min-subtraction quotient below).
-                let top = (2 * diameter_bound + 2) as u64;
-                let palette: Vec<u64> = (0..=top).collect();
-                let benign = vec![0u64; n];
-                let seeds = self.seed_configs(n, &palette, &benign, config.max_states)?;
-                let normalize = |cfg: &mut Vec<u64>| {
-                    let min = *cfg.iter().min().expect("non-empty configuration");
-                    for v in cfg.iter_mut() {
-                        *v -= min;
-                    }
-                };
-                self.finish(
-                    &MinPlusOne,
-                    &graph,
-                    diameter_bound,
-                    seeds,
-                    &|g: &Graph, cfg: &[u64]| min_plus_one_legitimate(g, cfg),
-                    Some(&normalize),
-                    &config,
-                    progress,
-                )
-            }
-            VerifyAlgorithmSpec::Standard(AlgorithmSpec::AsyncLe) => {
-                let alg = async_le(diameter_bound);
-                // Representative corrupted states — arbitrary clocks ×
-                // arbitrary leader claims (mirrors the sweep's fault
-                // palette for `"le"`).
-                let mut fault_palette = Vec::new();
-                for &turn in &alg.unison().states() {
-                    for leader in [false, true] {
-                        let mut host = alg.inner().host().initial_state();
-                        host.leader = leader;
-                        host.stage = sa_protocols::le::Stage::Verification;
-                        fault_palette.push(SyncState {
-                            current: sa_protocols::restart::RestartState::Host(host),
-                            previous: sa_protocols::restart::RestartState::Host(host),
-                            turn,
-                        });
-                    }
-                }
-                let benign = vec![alg.fresh_state(); n];
-                let seeds = self.seed_configs(n, &fault_palette, &benign, config.max_states)?;
-                self.finish(
-                    &alg,
-                    &graph,
-                    diameter_bound,
-                    seeds,
-                    &|g: &Graph, cfg: &[_]| {
-                        let turns: Vec<Turn> = cfg.iter().map(|s: &SyncState<_>| s.turn).collect();
-                        Predicates::new(alg.unison(), g).graph_good(&turns)
-                            && bio_networks::colony_leader_legitimate(g, cfg)
-                    },
-                    None,
-                    &config,
-                    progress,
-                )
-            }
-            VerifyAlgorithmSpec::Standard(AlgorithmSpec::AsyncMis) => {
-                let alg = async_mis(diameter_bound);
-                // Representative corrupted states — arbitrary clocks ×
-                // arbitrary decisions (mirrors the sweep's fault palette
-                // for `"mis"`).
-                let mut fault_palette = Vec::new();
-                for &turn in &alg.unison().states() {
-                    for decision in [
-                        sa_protocols::mis::Decision::Undecided,
-                        sa_protocols::mis::Decision::In,
-                        sa_protocols::mis::Decision::Out,
-                    ] {
-                        let mut host = alg.inner().host().initial_state();
-                        host.decision = decision;
-                        host.detect_id = if decision == sa_protocols::mis::Decision::In {
-                            1
-                        } else {
-                            0
-                        };
-                        fault_palette.push(SyncState {
-                            current: sa_protocols::restart::RestartState::Host(host),
-                            previous: sa_protocols::restart::RestartState::Host(host),
-                            turn,
-                        });
-                    }
-                }
-                let benign = vec![alg.fresh_state(); n];
-                let seeds = self.seed_configs(n, &fault_palette, &benign, config.max_states)?;
-                self.finish(
-                    &alg,
-                    &graph,
-                    diameter_bound,
-                    seeds,
-                    &|g: &Graph, cfg: &[_]| {
-                        let turns: Vec<Turn> = cfg.iter().map(|s: &SyncState<_>| s.turn).collect();
-                        Predicates::new(alg.unison(), g).graph_good(&turns)
-                            && bio_networks::tissue_pattern_legitimate(g, cfg)
-                    },
-                    None,
-                    &config,
-                    progress,
-                )
-            }
-            VerifyAlgorithmSpec::ResetAttempt { period } => {
-                let alg = ResetAttempt::new(period);
-                let palette = alg.states();
-                let benign = vec![ResetTurn::Turn(0); n];
-                let seeds = self.seed_configs(n, &palette, &benign, config.max_states)?;
-                self.finish(
-                    &alg,
-                    &graph,
-                    diameter_bound,
-                    seeds,
-                    &|g: &Graph, cfg: &[ResetTurn]| reset_attempt_legitimate(&alg, g, cfg),
-                    None,
-                    &config,
-                    progress,
-                )
-            }
-        }
-    }
-
-    /// Builds the seed configurations for the unit's [`SpaceMode`].
-    ///
-    /// Full mode refuses instances whose product space `|Q|^n` already
-    /// exceeds the state budget (the exploration would only rediscover
-    /// that after interning `budget` configurations). The composite LE/MIS
-    /// algorithms reject full mode outright: their palette here is the
-    /// *fault* palette (representative corruptions), not the full product
-    /// state set, so a "full" product over it would be neither full nor
-    /// meaningful.
-    fn seed_configs<S: Clone>(
-        &self,
-        n: usize,
-        palette: &[S],
-        benign: &[S],
-        budget: usize,
-    ) -> Result<Vec<Vec<S>>, SpecError> {
-        match self.space {
-            SpaceMode::Full => {
-                if matches!(
-                    self.algorithm,
-                    VerifyAlgorithmSpec::Standard(AlgorithmSpec::AsyncLe)
-                        | VerifyAlgorithmSpec::Standard(AlgorithmSpec::AsyncMis)
-                ) {
-                    return Err(format!(
-                        "unit {}: \"space\": \"full\" is not supported for the \
-                         composite le/mis algorithms (the synchronized product \
-                         state space is far beyond any exhaustive budget); use \
-                         \"space\": \"reachable\"",
-                        self.id()
-                    ));
-                }
-                let mut total: u128 = 1;
-                for _ in 0..n {
-                    total = total.saturating_mul(palette.len() as u128);
-                }
-                if total > budget as u128 {
-                    return Err(format!(
-                        "unit {}: full configuration space |Q|^n = {}^{} = {} exceeds \
-                         the state budget {} — shrink the instance, raise \
-                         max_states/SA_VERIFY_MAX_STATES, or use \
-                         \"space\": \"reachable\"",
-                        self.id(),
-                        palette.len(),
-                        n,
-                        total,
-                        budget
-                    ));
-                }
-                let mut seeds: Vec<Vec<S>> = vec![Vec::with_capacity(n)];
-                for _ in 0..n {
-                    seeds = seeds
-                        .into_iter()
-                        .flat_map(|c| {
-                            palette.iter().map(move |s| {
-                                let mut c = c.clone();
-                                c.push(s.clone());
-                                c
-                            })
-                        })
-                        .collect();
-                }
-                Ok(seeds)
-            }
-            SpaceMode::Reachable { fault_radius } => {
-                let mut seeds = vec![benign.to_vec()];
-                // Every corruption of 1..=fault_radius nodes: choose the
-                // corrupted positions in increasing order, then assign each
-                // a fault-palette state (the benign state itself included —
-                // smaller bursts are a subset, kept anyway for clarity).
-                let mut stack: Vec<(usize, usize, Vec<S>)> =
-                    vec![(0, fault_radius, benign.to_vec())];
-                while let Some((from, remaining, base)) = stack.pop() {
-                    if remaining == 0 {
-                        continue;
-                    }
-                    for v in from..n {
-                        for s in palette {
-                            let mut c = base.clone();
-                            c[v] = s.clone();
-                            seeds.push(c.clone());
-                            stack.push((v + 1, remaining - 1, c));
-                        }
-                    }
-                }
-                Ok(seeds)
-            }
-        }
-    }
-
-    /// Runs the explorer and converts its typed report into the
-    /// display-label form used by reports and trace files.
-    #[allow(clippy::too_many_arguments)]
-    fn finish<A: Algorithm>(
-        &self,
-        alg: &A,
-        graph: &Graph,
-        diameter_bound: usize,
-        seeds: Vec<Vec<A::State>>,
-        oracle: &dyn Fn(&Graph, &[A::State]) -> bool,
-        normalize: Option<NormalizeFn<'_, A::State>>,
-        config: &ExploreConfig,
-        progress: &mut dyn FnMut(ExploreProgress),
-    ) -> Result<VerifyUnitReport, SpecError> {
-        let report: ExploreReport<A::State> = explore(
-            alg,
+        let mut seeds = self.seeds(family, graph.node_count(), config.max_states)?;
+        let report: ExploreReport<State<F>> = explore(
+            family.algorithm(),
             graph,
-            &mut seeds.into_iter(),
-            oracle,
-            normalize,
-            config,
+            &mut seeds,
+            &|g: &Graph, c: &[State<F>]| family.is_legitimate(g, c),
+            family.normalizer(),
+            &config,
             progress,
         )
         .map_err(|e| format!("unit {}: {e}", self.id()))?;
@@ -654,6 +426,85 @@ impl VerifyUnit {
             convergence_certified,
             convergence_trace,
         })
+    }
+
+    /// The seed configurations of the unit's [`SpaceMode`] over the
+    /// family's verify palette.
+    ///
+    /// Full mode refuses families whose palette does not span their whole
+    /// space, and instances whose product space `|Q|^n` already exceeds
+    /// the state budget (the exploration would only rediscover that after
+    /// interning `budget` configurations). It yields the `|Q|^n`
+    /// configurations lazily, in lexicographic order with node 0 as the
+    /// most significant digit.
+    fn seeds<'f, F: Family>(
+        &self,
+        family: &'f F,
+        n: usize,
+        budget: usize,
+    ) -> Result<Box<dyn Iterator<Item = Vec<State<F>>> + 'f>, SpecError> {
+        let palette = family.verify_palette();
+        match self.space {
+            SpaceMode::Full => {
+                if !family.full_space() {
+                    return Err(format!(
+                        "unit {}: \"space\": \"full\" is not supported for the \
+                         composite le/mis algorithms (the synchronized product \
+                         state space is far beyond any exhaustive budget); use \
+                         \"space\": \"reachable\"",
+                        self.id()
+                    ));
+                }
+                let q = palette.len();
+                let total = (0..n).fold(1u128, |t, _| t.saturating_mul(q as u128));
+                if total > budget as u128 {
+                    return Err(format!(
+                        "unit {}: full configuration space |Q|^n = {}^{} = {} exceeds \
+                         the state budget {} — shrink the instance, raise \
+                         max_states/SA_VERIFY_MAX_STATES, or use \
+                         \"space\": \"reachable\"",
+                        self.id(),
+                        q,
+                        n,
+                        total,
+                        budget
+                    ));
+                }
+                let total = total as usize;
+                Ok(Box::new((0..total).map(move |index| {
+                    let mut place = total;
+                    (0..n)
+                        .map(|_| {
+                            place /= q;
+                            palette[index / place % q].clone()
+                        })
+                        .collect()
+                })))
+            }
+            SpaceMode::Reachable { fault_radius } => {
+                let benign = vec![family.benign(); n];
+                let mut seeds = vec![benign.clone()];
+                // Every corruption of 1..=fault_radius nodes: choose the
+                // corrupted positions in increasing order, then assign each
+                // a palette state (the benign state itself included —
+                // smaller bursts are a subset, kept anyway for clarity).
+                let mut stack: Vec<(usize, usize, Vec<State<F>>)> = vec![(0, fault_radius, benign)];
+                while let Some((from, remaining, base)) = stack.pop() {
+                    if remaining == 0 {
+                        continue;
+                    }
+                    for v in from..n {
+                        for s in palette {
+                            let mut c = base.clone();
+                            c[v] = s.clone();
+                            seeds.push(c.clone());
+                            stack.push((v + 1, remaining - 1, c));
+                        }
+                    }
+                }
+                Ok(Box::new(seeds.into_iter()))
+            }
+        }
     }
 }
 

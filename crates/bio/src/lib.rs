@@ -34,7 +34,7 @@ use sa_model::algorithm::StateSpace;
 use sa_model::graph::Graph;
 use sa_model::scheduler::UniformRandomScheduler;
 use sa_protocols::mis::{Decision, MisState};
-use sa_protocols::restart::{RestartState, RestartableAlgorithm};
+use sa_protocols::restart::RestartState;
 use sa_synchronizer::{async_le, async_mis, SyncState};
 use unison_core::{AlgAu, GoodGraphOracle, Predicates, Turn};
 
@@ -152,22 +152,7 @@ pub fn tissue_mis_availability(
     let graph = scenario.build();
     let alg = async_mis(scenario.diameter_bound());
     let start = vec![alg.fresh_state(); graph.node_count()];
-    // The fault palette corrupts the unison coordinate and the host decision fields;
-    // sampling the full composite product would be enormous, so we corrupt with
-    // representative states (arbitrary clock positions × arbitrary decisions).
-    let mut palette = Vec::new();
-    for turn in alg.unison().states() {
-        for decision in [Decision::Undecided, Decision::In, Decision::Out] {
-            let mut host = alg.inner().host().initial_state();
-            host.decision = decision;
-            host.detect_id = if decision == Decision::In { 1 } else { 0 };
-            palette.push(SyncState {
-                current: RestartState::Host(host),
-                previous: RestartState::Host(host),
-                turn,
-            });
-        }
-    }
+    let palette = alg.corrupted_states();
     let mut scheduler = UniformRandomScheduler::new(0.5);
     measure_availability(
         &alg,
@@ -240,20 +225,7 @@ pub fn colony_leader_recovery(
     let graph = scenario.build(seed);
     let alg = async_le(scenario.diameter_bound());
     let start = vec![alg.fresh_state(); graph.node_count()];
-    // Representative corrupted states: arbitrary clocks, arbitrary leader claims.
-    let mut palette = Vec::new();
-    for turn in alg.unison().states() {
-        for leader in [false, true] {
-            let mut host = alg.inner().host().initial_state();
-            host.leader = leader;
-            host.stage = sa_protocols::le::Stage::Verification;
-            palette.push(SyncState {
-                current: RestartState::Host(host),
-                previous: RestartState::Host(host),
-                turn,
-            });
-        }
-    }
+    let palette = alg.corrupted_states();
     let burst = ((graph.node_count() as f64) * harshness.burst_fraction()).ceil() as usize;
     let mut scheduler = UniformRandomScheduler::new(0.5);
     run_burst_recovery_trials(

@@ -425,7 +425,10 @@ mod tests {
         g.add_edge(1, 1);
     }
 
+    // The duplicate-edge checks are debug assertions; release test builds
+    // skip them, so these two tests exist only with debug assertions on.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate edge")]
     fn duplicate_edge_panics() {
         let mut g = Graph::empty(2);
@@ -441,10 +444,9 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate edge")]
     fn from_edges_rejects_duplicates_in_debug() {
-        // Debug-only check (tests run with debug assertions on); release
-        // builds skip the O(E log E) scan.
         let _ = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
     }
 

@@ -519,6 +519,29 @@ impl AsyncMis {
     pub fn checker(&self) -> SynchronizedChecker<MisChecker> {
         SynchronizedChecker::new(MisChecker)
     }
+
+    /// Representative corrupted states: every AU turn × every MIS decision
+    /// (an `In` host carries detection id 1). Fault injection and
+    /// exhaustive exploration draw from this set, because the full
+    /// composite product `|Q|²·|T|` is far too large to sample.
+    pub fn corrupted_states(&self) -> Vec<SyncState<<AlgMis as Algorithm>::State>> {
+        use sa_protocols::mis::Decision;
+        use sa_protocols::restart::{RestartState, RestartableAlgorithm};
+        let mut states = Vec::new();
+        for turn in self.unison().states() {
+            for decision in [Decision::Undecided, Decision::In, Decision::Out] {
+                let mut host = self.inner().host().initial_state();
+                host.decision = decision;
+                host.detect_id = u8::from(decision == Decision::In);
+                states.push(SyncState {
+                    current: RestartState::Host(host),
+                    previous: RestartState::Host(host),
+                    turn,
+                });
+            }
+        }
+        states
+    }
 }
 
 impl AsyncLe {
@@ -533,6 +556,28 @@ impl AsyncLe {
     /// The checker for the asynchronous LE task.
     pub fn checker(&self) -> SynchronizedChecker<LeChecker> {
         SynchronizedChecker::new(LeChecker)
+    }
+
+    /// Representative corrupted states: every AU turn × either leader
+    /// claim, with the host in its verification stage. Fault injection and
+    /// exhaustive exploration draw from this set, because the full
+    /// composite product `|Q|²·|T|` is far too large to sample.
+    pub fn corrupted_states(&self) -> Vec<SyncState<<AlgLe as Algorithm>::State>> {
+        use sa_protocols::restart::{RestartState, RestartableAlgorithm};
+        let mut states = Vec::new();
+        for turn in self.unison().states() {
+            for leader in [false, true] {
+                let mut host = self.inner().host().initial_state();
+                host.leader = leader;
+                host.stage = sa_protocols::le::Stage::Verification;
+                states.push(SyncState {
+                    current: RestartState::Host(host),
+                    previous: RestartState::Host(host),
+                    turn,
+                });
+            }
+        }
+        states
     }
 }
 

@@ -345,28 +345,14 @@ fn verification_window_caps_recorded_violations() {
 #[test]
 fn tissue_decomposition_matches_global_predicate() {
     use stone_age_unison::bio::{tissue_node_ok, tissue_pattern_legitimate, tissue_uniform_ok};
-    use stone_age_unison::protocols::mis::Decision;
-    use stone_age_unison::protocols::restart::{RestartState, RestartableAlgorithm};
-    use stone_age_unison::synchronizer::{async_mis, SyncState};
+    use stone_age_unison::synchronizer::async_mis;
 
     let graph = Graph::grid(3, 4);
     let n = graph.node_count();
     let alg = async_mis(graph.diameter());
-    // Representative corrupted states: arbitrary clocks × arbitrary decisions
-    // (the same palette shape the bio recovery harness uses).
-    let mut palette = Vec::new();
-    for turn in alg.unison().states() {
-        for decision in [Decision::Undecided, Decision::In, Decision::Out] {
-            let mut host = alg.inner().host().initial_state();
-            host.decision = decision;
-            host.detect_id = if decision == Decision::In { 1 } else { 0 };
-            palette.push(SyncState {
-                current: RestartState::Host(host),
-                previous: RestartState::Host(host),
-                turn,
-            });
-        }
-    }
+    // Representative corrupted states (the palette the sweep and the bio
+    // recovery harness use).
+    let palette = alg.corrupted_states();
     let mut exec = ExecutionBuilder::new(&alg, &graph)
         .seed(9)
         .initial(vec![alg.fresh_state(); n]);
@@ -425,26 +411,12 @@ fn tissue_decomposition_matches_global_predicate() {
 #[test]
 fn colony_decomposition_matches_global_predicate() {
     use stone_age_unison::bio::{colony_leader_legitimate, colony_leader_weight, colony_node_ok};
-    use stone_age_unison::protocols::le::Stage;
-    use stone_age_unison::protocols::restart::{RestartState, RestartableAlgorithm};
-    use stone_age_unison::synchronizer::{async_le, SyncState};
+    use stone_age_unison::synchronizer::async_le;
 
     let graph = Graph::complete(6);
     let n = graph.node_count();
     let alg = async_le(graph.diameter());
-    let mut palette = Vec::new();
-    for turn in alg.unison().states() {
-        for leader in [false, true] {
-            let mut host = alg.inner().host().initial_state();
-            host.leader = leader;
-            host.stage = Stage::Verification;
-            palette.push(SyncState {
-                current: RestartState::Host(host),
-                previous: RestartState::Host(host),
-                turn,
-            });
-        }
-    }
+    let palette = alg.corrupted_states();
     let mut exec = ExecutionBuilder::new(&alg, &graph)
         .seed(5)
         .initial(vec![alg.fresh_state(); n]);
