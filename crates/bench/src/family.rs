@@ -336,8 +336,11 @@ impl Family for MinPlusOneFamily {
         min_plus_one_legitimate(graph, config)
     }
 
-    /// The in-range clocks only: the outliers serve the sweep's fault
-    /// draws, and the explored space stays finite from these seeds.
+    /// The in-range clocks `0..=2D+2` only: the outliers serve the sweep's
+    /// fault draws, and the explored space stays finite from these seeds.
+    /// A `"full"` certificate therefore covers only configurations whose
+    /// spread after the min quotient is at most `2D+2` (and what they
+    /// reach); `[0, 100, 100]` on `path-3`, say, is never explored.
     fn verify_palette(&self) -> &[u64] {
         &self.palette[..self.in_range]
     }

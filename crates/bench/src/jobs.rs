@@ -41,6 +41,11 @@
 //!   to pluggable [`ResultSink`]s and per-job [`JobScheduler::watch`]
 //!   channels — the file layer above is the batch sink, the `sa serve`
 //!   socket layer is a streaming sink (see `docs/serve-protocol.md`).
+//! * **A terminal job keeps only its [`JobStatus`].** Once its
+//!   `job-finished` is out, the job's spec, units, results and watch
+//!   channels are dropped, so a long-lived scheduler's memory does not grow
+//!   with every job it has run; status queries and late watchers read the
+//!   kept status.
 //!
 //! # Example
 //!
@@ -631,6 +636,8 @@ struct UnitInput {
     interrupt_after_steps: Option<u64>,
 }
 
+/// A job that is not yet terminal ([`JobState::Queued`] or
+/// [`JobState::Running`]); [`Inner::settle`] retires it.
 struct Job {
     config: JobConfig,
     units: Vec<SweepUnit>,
@@ -755,7 +762,11 @@ struct RunningUnit {
 }
 
 struct State {
+    /// Live jobs only.
     jobs: BTreeMap<JobId, Job>,
+    /// Terminal jobs, kept as their final status (boxed: a B-tree node
+    /// then holds 11 pointers, not 11 statuses, most of them spare).
+    finished: BTreeMap<JobId, Box<JobStatus>>,
     queue: FairQueue,
     /// Units currently on a worker, keyed by (job, unit index).
     running_units: BTreeMap<(JobId, usize), RunningUnit>,
@@ -808,6 +819,27 @@ impl Inner {
     fn emit(&self, event: JobEvent) {
         let mut state = self.state.lock().unwrap();
         self.fan_out(&mut state, event);
+    }
+
+    /// Moves a live job into `terminal`: fans out its `job-finished`, then
+    /// keeps only the final status. Dropping the job drops its subscribers'
+    /// senders, so every `watch` stream ends right after its `job-finished`.
+    fn settle(&self, state: &mut State, id: &str, terminal: JobState) {
+        let Some(job) = state.jobs.get_mut(id) else {
+            return;
+        };
+        job.state = terminal;
+        let status = job.status(id);
+        self.fan_out(
+            state,
+            JobEvent::JobFinished {
+                job: id.to_string(),
+                status: status.clone(),
+            },
+        );
+        state.jobs.remove(id);
+        state.finished.insert(id.to_string(), Box::new(status));
+        self.done.notify_all();
     }
 }
 
@@ -872,6 +904,7 @@ impl JobScheduler {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 jobs: BTreeMap::new(),
+                finished: BTreeMap::new(),
                 queue: FairQueue::default(),
                 running_units: BTreeMap::new(),
                 running_by_client: BTreeMap::new(),
@@ -1016,6 +1049,7 @@ impl JobScheduler {
             });
         }
 
+        let units_total = units.len();
         let id;
         let all_done;
         {
@@ -1066,9 +1100,12 @@ impl JobScheduler {
                     }
                 }
             }
+            let taken = |state: &State, id: &str| {
+                state.jobs.contains_key(id) || state.finished.contains_key(id)
+            };
             id = match &config.id {
                 Some(pinned) => {
-                    if state.jobs.contains_key(pinned) {
+                    if taken(&state, pinned) {
                         return Err(SchedError::new(
                             "conflict",
                             format!("job id \"{pinned}\" already exists"),
@@ -1079,7 +1116,7 @@ impl JobScheduler {
                 None => loop {
                     let candidate = format!("j{}", state.next_job);
                     state.next_job += 1;
-                    if !state.jobs.contains_key(&candidate) {
+                    if !taken(&state, &candidate) {
                         break candidate;
                     }
                 },
@@ -1092,7 +1129,6 @@ impl JobScheduler {
             let priority = config.priority;
             let client = config.client.clone();
             let spec_name = config.spec.name.clone();
-            let units_total = units.len();
             let job = Job {
                 config,
                 units,
@@ -1137,11 +1173,9 @@ impl JobScheduler {
             // reports must (re-)render so the job still finishes cleanly.
             finalize_job(&self.inner, &id);
         }
-        let state = self.inner.state.lock().unwrap();
-        let job = &state.jobs[&id];
         Ok(SubmitReceipt {
-            id: id.clone(),
-            units: job.units.len(),
+            id,
+            units: units_total,
             resumed_done,
         })
     }
@@ -1149,33 +1183,40 @@ impl JobScheduler {
     /// The status of one job (`None`: unknown id).
     pub fn status(&self, job: &str) -> Option<JobStatus> {
         let state = self.inner.state.lock().unwrap();
-        state.jobs.get(job).map(|j| j.status(job))
+        match state.jobs.get(job) {
+            Some(live) => Some(live.status(job)),
+            None => state.finished.get(job).map(|status| (**status).clone()),
+        }
     }
 
     /// The status of every job this scheduler has seen, in id order.
     pub fn statuses(&self) -> Vec<JobStatus> {
         let state = self.inner.state.lock().unwrap();
-        state.jobs.iter().map(|(id, j)| j.status(id)).collect()
+        let mut all: Vec<JobStatus> = state.finished.values().map(|s| (**s).clone()).collect();
+        all.extend(state.jobs.iter().map(|(id, j)| j.status(id)));
+        all.sort_by(|a, b| a.id.cmp(&b.id));
+        all
     }
 
     /// Subscribes to a job's event stream. Events from subscription time on
-    /// are delivered in order; if the job is already terminal, the channel
-    /// immediately carries a synthetic `job-finished` so a late watcher
-    /// never hangs. The channel buffers a bounded number of events; a consumer
-    /// that falls further behind is dropped (slow-watcher shedding).
-    /// `None`: unknown id.
+    /// are delivered in order, and the channel closes after `job-finished`;
+    /// if the job is already terminal, the channel carries just a synthetic
+    /// `job-finished` so a late watcher never hangs. The channel buffers a
+    /// bounded number of events; a consumer that falls further behind is
+    /// dropped (slow-watcher shedding). `None`: unknown id.
     pub fn watch(&self, job: &str) -> Option<mpsc::Receiver<JobEvent>> {
         let mut state = self.inner.state.lock().unwrap();
-        let entry = state.jobs.get_mut(job)?;
-        let (tx, rx) = mpsc::sync_channel(EVENT_BUFFER);
-        if entry.state.is_terminal() {
-            let _ = tx.try_send(JobEvent::JobFinished {
-                job: job.to_string(),
-                status: entry.status(job),
-            });
-        } else {
+        if let Some(entry) = state.jobs.get_mut(job) {
+            let (tx, rx) = mpsc::sync_channel(EVENT_BUFFER);
             entry.subscribers.push(tx);
+            return Some(rx);
         }
+        let status = (**state.finished.get(job)?).clone();
+        let (tx, rx) = mpsc::sync_channel(1);
+        let _ = tx.try_send(JobEvent::JobFinished {
+            job: job.to_string(),
+            status,
+        });
         Some(rx)
     }
 
@@ -1183,19 +1224,21 @@ impl JobScheduler {
     /// total order the sinks see. Jobs already terminal at subscription
     /// time are represented by an immediate synthetic `job-finished` each
     /// (id order), so a late subscriber still learns every outcome. Same
-    /// bounded-channel shedding as [`JobScheduler::watch`].
+    /// bounded-channel shedding as [`JobScheduler::watch`]. The channel
+    /// closes when the scheduler shuts down, right after the final
+    /// `job-finished` events (at once for a subscription made after that).
     pub fn watch_all(&self) -> mpsc::Receiver<JobEvent> {
         let mut state = self.inner.state.lock().unwrap();
         let (tx, rx) = mpsc::sync_channel(EVENT_BUFFER);
-        for (id, job) in state.jobs.iter() {
-            if job.state.is_terminal() {
-                let _ = tx.try_send(JobEvent::JobFinished {
-                    job: id.clone(),
-                    status: job.status(id),
-                });
-            }
+        for (id, status) in state.finished.iter() {
+            let _ = tx.try_send(JobEvent::JobFinished {
+                job: id.clone(),
+                status: (**status).clone(),
+            });
         }
-        state.firehose.push(tx);
+        if !self.inner.shutdown.is_cancelled() {
+            state.firehose.push(tx);
+        }
         rx
     }
 
@@ -1206,14 +1249,12 @@ impl JobScheduler {
     pub fn cancel(&self, job: &str) -> bool {
         let mut state = self.inner.state.lock().unwrap();
         let Some(entry) = state.jobs.get_mut(job) else {
-            return false;
+            return state.finished.contains_key(job);
         };
-        if !entry.state.is_terminal() {
-            entry.cancel_requested = true;
-            entry.cancel.cancel();
-            cancel_running_units(&state, job);
-            self.inner.work.notify_all();
-        }
+        entry.cancel_requested = true;
+        entry.cancel.cancel();
+        cancel_running_units(&state, job);
+        self.inner.work.notify_all();
         true
     }
 
@@ -1221,13 +1262,10 @@ impl JobScheduler {
     /// status (`None`: unknown id).
     pub fn wait(&self, job: &str) -> Option<JobStatus> {
         let mut state = self.inner.state.lock().unwrap();
-        loop {
-            let entry = state.jobs.get(job)?;
-            if entry.state.is_terminal() {
-                return Some(entry.status(job));
-            }
+        while state.jobs.contains_key(job) {
             state = self.inner.done.wait(state).unwrap();
         }
+        state.finished.get(job).map(|status| (**status).clone())
     }
 
     /// Stops accepting new jobs and blocks until every accepted job is
@@ -1235,15 +1273,16 @@ impl JobScheduler {
     pub fn drain(&self) {
         let mut state = self.inner.state.lock().unwrap();
         state.accepting = false;
-        while state.jobs.values().any(|j| !j.state.is_terminal()) {
+        while !state.jobs.is_empty() {
             state = self.inner.done.wait(state).unwrap();
         }
     }
 
     /// Stops the scheduler: no new units start, every in-flight unit is
     /// interrupted at its next step boundary (checkpoint persisted), worker
-    /// threads are joined, and every non-terminal job is marked
-    /// [`JobState::Interrupted`] (or `Cancelled`/`Failed` as appropriate).
+    /// threads are joined, every non-terminal job is marked
+    /// [`JobState::Interrupted`] (or `Cancelled`/`Failed` as appropriate),
+    /// and every watch and firehose channel closes after its final event.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, AtomicOrdering::SeqCst) {
@@ -1271,18 +1310,13 @@ impl JobScheduler {
         let ids: Vec<JobId> = state.jobs.keys().cloned().collect();
         for id in ids {
             let job = state.jobs.get_mut(&id).unwrap();
-            if job.state.is_terminal() {
-                continue;
-            }
             job.not_started += job.remaining - job.running;
             job.remaining = job.running;
-            job.state = terminal_state(job);
-            let event = JobEvent::JobFinished {
-                job: id.clone(),
-                status: job.status(&id),
-            };
-            self.inner.fan_out(&mut state, event);
+            let terminal = terminal_state(job);
+            self.inner.settle(&mut state, &id, terminal);
         }
+        // No event follows: end every firehose stream.
+        state.firehose.clear();
         self.inner.done.notify_all();
     }
 }
@@ -1316,18 +1350,12 @@ fn finalize_job(inner: &Arc<Inner>, id: &str) {
         let Some(job) = state.jobs.get_mut(id) else {
             return;
         };
-        if job.state.is_terminal() || job.remaining > 0 || job.running > 0 {
+        if job.remaining > 0 || job.running > 0 {
             return;
         }
         let terminal = terminal_state(job);
         if terminal != JobState::Finished {
-            job.state = terminal;
-            let event = JobEvent::JobFinished {
-                job: id.to_string(),
-                status: job.status(id),
-            };
-            inner.fan_out(&mut state, event);
-            inner.done.notify_all();
+            inner.settle(&mut state, id, terminal);
             return;
         }
         // Keep the job non-terminal while the reports render so concurrent
@@ -1350,19 +1378,14 @@ fn finalize_job(inner: &Arc<Inner>, id: &str) {
     let Some(job) = state.jobs.get_mut(id) else {
         return;
     };
-    job.state = match written {
+    let terminal = match written {
         Ok(()) => JobState::Finished,
         Err(e) => {
             job.error = Some(e);
             JobState::Failed
         }
     };
-    let event = JobEvent::JobFinished {
-        job: id.to_string(),
-        status: job.status(id),
-    };
-    inner.fan_out(&mut state, event);
-    inner.done.notify_all();
+    inner.settle(&mut state, id, terminal);
 }
 
 /// Renders and atomically persists `EXPERIMENTS.json` + `EXPERIMENTS.md` —
@@ -1445,14 +1468,9 @@ fn prepare_dispatch(inner: &Arc<Inner>, state: &mut State, entry: QueueEntry) ->
     if job.cancel.is_cancelled() {
         job.remaining -= 1;
         job.not_started += 1;
-        if job.remaining == 0 && job.running == 0 && !job.state.is_terminal() {
-            job.state = terminal_state(job);
-            let event = JobEvent::JobFinished {
-                job: entry.job.clone(),
-                status: job.status(&entry.job),
-            };
-            inner.fan_out(state, event);
-            inner.done.notify_all();
+        if job.remaining == 0 && job.running == 0 {
+            let terminal = terminal_state(job);
+            inner.settle(state, &entry.job, terminal);
         }
         return None;
     }
@@ -1808,6 +1826,56 @@ mod tests {
             }
             other => panic!("expected job-finished, got {other:?}"),
         }
+        fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn a_finished_job_keeps_only_its_status() {
+        let out = temp_dir("retire");
+        let scheduler = JobScheduler::new_paused(1);
+        let id = scheduler
+            .submit(JobConfig::new(spec("retire", 2), out.clone()))
+            .unwrap()
+            .id;
+        let rx = scheduler.watch(&id).unwrap();
+        scheduler.start();
+        let carried = loop {
+            if let JobEvent::JobFinished { status, .. } = rx.recv().expect("stream open") {
+                break status;
+            }
+        };
+        // The subscriber's sender went with the job: the stream is closed.
+        assert!(rx.recv().is_err(), "watch channel open after job-finished");
+        {
+            let state = scheduler.inner.state.lock().unwrap();
+            assert!(!state.jobs.contains_key(&id), "finished job still live");
+            assert_eq!(state.finished.get(&id).map(|s| &**s), Some(&carried));
+        }
+        assert_eq!(scheduler.status(&id), Some(carried.clone()));
+        assert_eq!(scheduler.wait(&id), Some(carried));
+        fs::remove_dir_all(&out).ok();
+    }
+
+    #[test]
+    fn shutdown_closes_the_firehose() {
+        let out = temp_dir("firehose-close");
+        let scheduler = JobScheduler::new(1);
+        let id = scheduler
+            .submit(JobConfig::new(spec("firehose-close", 1), out.clone()))
+            .unwrap()
+            .id;
+        scheduler.wait(&id).unwrap();
+        let early = scheduler.watch_all();
+        scheduler.shutdown();
+        let catch_up = |rx: &mpsc::Receiver<JobEvent>| {
+            let events: Vec<JobEvent> = rx.iter().collect();
+            assert_eq!(events.len(), 1, "{events:?}");
+            assert_eq!(events[0].job(), id);
+        };
+        // Each stream ends after its catch-up: one open before shutdown,
+        // and one opened after it.
+        catch_up(&early);
+        catch_up(&scheduler.watch_all());
         fs::remove_dir_all(&out).ok();
     }
 

@@ -331,13 +331,15 @@ pub fn shutdown(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `sa ping --socket S [--wait SECS]` — handshake check; `--wait` retries
-/// until the daemon is up (CI uses this to await daemon start).
+/// until the daemon is up (CI uses this to await daemon start), first after
+/// 1 ms, then doubling the pause up to 50 ms.
 pub fn ping(args: &[String]) -> Result<ExitCode, String> {
     let parsed = parse_client_args(args)?;
     if !parsed.positional.is_empty() {
         return Err("sa ping takes no positional arguments".to_string());
     }
     let deadline = parsed.wait.map(|wait| Instant::now() + wait);
+    let mut pause = Duration::from_millis(1);
     loop {
         let attempt = Connection::open(&parsed.socket).and_then(|mut connection| {
             connection.round_trip(&JsonValue::object([(
@@ -352,7 +354,8 @@ pub fn ping(args: &[String]) -> Result<ExitCode, String> {
             }
             Err(e) => match deadline {
                 Some(deadline) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(Duration::from_millis(50));
                 }
                 _ => return Err(e),
             },

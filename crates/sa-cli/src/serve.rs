@@ -58,10 +58,12 @@ use sa_runtime::parallel::{thread_count, CancelToken};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
 /// The protocol generation this daemon speaks (sent in the `hello` line;
@@ -172,6 +174,9 @@ struct Daemon {
     next_id: Mutex<u64>,
     /// Fires on the `shutdown` op; the accept loop exits.
     stop: CancelToken,
+    /// The listening socket's path: the `shutdown` op connects to it to
+    /// wake the blocked `accept`.
+    socket: PathBuf,
 }
 
 /// Archives terminal statuses to `jobs/<id>/result.json` — except
@@ -432,7 +437,7 @@ enum Frame {
 /// Reads one newline-terminated frame without ever buffering more than
 /// `max` bytes of it — the bounded replacement for `read_line`, which would
 /// happily buffer an arbitrarily long line.
-fn read_frame(reader: &mut BufReader<UnixStream>, max: usize) -> std::io::Result<Frame> {
+fn read_frame(reader: &mut impl BufRead, max: usize) -> std::io::Result<Frame> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let available = reader.fill_buf()?;
@@ -464,7 +469,7 @@ fn read_frame(reader: &mut BufReader<UnixStream>, max: usize) -> std::io::Result
 
 /// Consumes input up to and including the next newline (or EOF) without
 /// retaining it.
-fn discard_line(reader: &mut BufReader<UnixStream>) -> std::io::Result<()> {
+fn discard_line(reader: &mut impl BufRead) -> std::io::Result<()> {
     loop {
         let available = reader.fill_buf()?;
         if available.is_empty() {
@@ -617,8 +622,9 @@ fn handle_watch(daemon: &Arc<Daemon>, stream: &mut UnixStream, job: &str) -> std
 /// Handles `watch` with `"all": true` — the firehose: archived jobs replay
 /// as synthetic `job-finished` catch-up lines (id order), then every event
 /// of every live job streams in the scheduler's total order. The stream
-/// runs until the client disconnects or the daemon shuts down; the
-/// connection never returns to request mode.
+/// runs until the client disconnects or the daemon shuts down (the
+/// scheduler's shutdown closes the channel); the connection never returns
+/// to request mode.
 fn handle_watch_all(daemon: &Arc<Daemon>, stream: &mut UnixStream) -> std::io::Result<bool> {
     send_line(stream, &ok_response(vec![]))?;
     // Subscribe before the archived catch-up so nothing falls in a gap;
@@ -634,20 +640,10 @@ fn handle_watch_all(daemon: &Arc<Daemon>, stream: &mut UnixStream) -> std::io::R
             status: status.clone(),
         })
         .collect();
-    for event in archived {
+    for event in archived.into_iter().chain(rx) {
         send_line(stream, &event.to_json())?;
     }
-    loop {
-        match rx.recv_timeout(Duration::from_millis(250)) {
-            Ok(event) => send_line(stream, &event.to_json())?,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if daemon.stop.is_cancelled() {
-                    return Ok(false);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(false),
-        }
-    }
+    Ok(false)
 }
 
 /// Dispatches one request line; returns `false` when the connection should
@@ -769,6 +765,9 @@ fn handle_request(
         "shutdown" => {
             send_line(stream, &ok_response(vec![]))?;
             daemon.stop.cancel();
+            // Wake the accept loop, which drops this connection once it
+            // sees `stop`.
+            let _ = UnixStream::connect(&daemon.socket);
             return Ok(false);
         }
         other => send_line(
@@ -779,7 +778,15 @@ fn handle_request(
     Ok(true)
 }
 
+/// Serves one connection until it ends, then shuts the socket down both
+/// ways: the accept loop holds a clone of the stream until it reaps this
+/// handler, and the client must see EOF now, not then.
 fn handle_connection(daemon: Arc<Daemon>, stream: UnixStream, options: &ConnectionOptions) {
+    serve_connection(daemon, &stream, options);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn serve_connection(daemon: Arc<Daemon>, stream: &UnixStream, options: &ConnectionOptions) {
     // Deadlines: a client idle (or trickling a line) past the read timeout,
     // or blocking our writes past the write timeout, is disconnected — slow
     // clients must not pin handler threads or buffers.
@@ -835,6 +842,27 @@ fn handle_connection(daemon: Arc<Daemon>, stream: UnixStream, options: &Connecti
     }
 }
 
+/// A connection's handler thread and a clone of its stream, kept so that
+/// shutdown can end a read blocked on an idle client.
+type Connection = (JoinHandle<()>, UnixStream);
+
+/// Joins the handlers that have returned; the live ones stay.
+fn reap(connections: &mut Vec<Connection>) {
+    let (done, live) = std::mem::take(connections)
+        .into_iter()
+        .partition(|(handler, _)| handler.is_finished());
+    *connections = live;
+    for (handler, _) in done {
+        join_handler(handler);
+    }
+}
+
+fn join_handler(handler: JoinHandle<()>) {
+    if handler.join().is_err() {
+        eprintln!("sa serve: warning: a connection handler panicked");
+    }
+}
+
 /// Per-connection knobs, copied out of [`ServeOptions`] for the handler
 /// threads.
 #[derive(Clone, Copy)]
@@ -884,6 +912,7 @@ pub fn serve(args: &[String]) -> Result<ExitCode, String> {
         archive,
         next_id: Mutex::new(next_id),
         stop: CancelToken::new(),
+        socket: options.socket.clone(),
     });
     if daemon.keep > 0 || daemon.keep_age_secs > 0 {
         prune_archive(&daemon, daemon.keep, daemon.keep_age_secs);
@@ -901,9 +930,6 @@ pub fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
     let listener = UnixListener::bind(&options.socket)
         .map_err(|e| format!("cannot bind {}: {e}", options.socket.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot configure socket: {e}"))?;
 
     println!(
         "sa serve: listening on {} (state: {}, protocol v{PROTOCOL_VERSION})",
@@ -916,28 +942,36 @@ pub fn serve(args: &[String]) -> Result<ExitCode, String> {
         idle_timeout_secs: options.idle_timeout_secs,
         write_timeout_secs: options.write_timeout_secs,
     };
-    let mut handlers = Vec::new();
-    while !daemon.stop.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let daemon = Arc::clone(&daemon);
-                handlers.push(std::thread::spawn(move || {
-                    handle_connection(daemon, stream, &connection_options);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(format!("accept failed: {e}")),
+    let mut connections = Vec::new();
+    for stream in listener.incoming() {
+        // The `shutdown` op wakes this blocking accept by connecting; that
+        // connection (and any that races it) is dropped.
+        if daemon.stop.is_cancelled() {
+            break;
         }
+        let stream = stream.map_err(|e| format!("accept failed: {e}"))?;
+        reap(&mut connections);
+        let Ok(registered) = stream.try_clone() else {
+            continue; // out of descriptors: drop this client
+        };
+        let daemon = Arc::clone(&daemon);
+        let handler = std::thread::spawn(move || {
+            handle_connection(daemon, stream, &connection_options);
+        });
+        connections.push((handler, registered));
     }
+    drop(listener);
 
-    // Shutdown: checkpoint in-flight units, join workers, then let the
-    // connection handlers drain their final event streams.
+    // Shutdown: checkpoint in-flight units and join the workers; the final
+    // `job-finished` events close every watch and firehose channel. Then
+    // end every connection's reads, so a handler blocked on an idle client
+    // returns now rather than at its idle timeout, and join the handlers.
     daemon.scheduler.shutdown();
-    for handler in handlers {
-        let _ = handler.join();
+    for (_, stream) in &connections {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (handler, _) in connections {
+        join_handler(handler);
     }
     let _ = fs::remove_file(&options.socket);
     println!("sa serve: shut down (jobs remain resumable on restart)");

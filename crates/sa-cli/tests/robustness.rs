@@ -493,6 +493,34 @@ fn idle_connections_are_disconnected() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `shutdown` does not wait for idle clients: with a request-mode client
+/// connected and silent (default 300 s idle timeout), the daemon exits 0
+/// within a second and the client reads EOF.
+#[test]
+fn shutdown_with_an_idle_client_is_prompt() {
+    let dir = temp_dir("idle-shutdown");
+    let mut daemon = Daemon::start(&dir, &[], &[]);
+    let (mut idle, _idle_writer) = daemon.connect().unwrap();
+    let started = Instant::now();
+    let response = daemon.request(r#"{"op": "shutdown"}"#).unwrap();
+    assert!(response.contains("\"ok\": true"), "{response}");
+    let status = loop {
+        if let Some(status) = daemon.child.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown is waiting on the idle client"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(status.success(), "daemon exited {status}");
+    let mut line = String::new();
+    let n = idle.read_line(&mut line).unwrap_or(0);
+    assert_eq!(n, 0, "expected EOF on the idle connection, got: {line}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The unit watchdog end to end: a stuck unit is cancelled at its next
 /// checkpoint boundary and the job fails with an explanatory error instead
 /// of hanging.

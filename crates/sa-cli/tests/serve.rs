@@ -323,6 +323,37 @@ fn protocol_smoke() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A `watch` sent after its job finished (a quick job can finish between
+/// the submit ack and the client's `watch`) still gets `ok` plus the job's
+/// `job-finished`, carrying the status that `status` reports.
+#[test]
+fn watch_after_the_job_finished_replays_its_outcome() {
+    let dir = temp_dir("late-watch");
+    let mut daemon = Daemon::start(&dir, None);
+    let job = submit(
+        &daemon,
+        &write_spec(&dir, "quick.json", &quick_spec("late")),
+        "",
+    );
+    let live = watch(&daemon, &job);
+    // The late watch: exactly `ok` plus the job's `job-finished`.
+    let (reader, mut writer) = daemon.connect();
+    writeln!(writer, r#"{{"op": "watch", "job": "{job}"}}"#).unwrap();
+    let late: Vec<String> = reader.lines().take(2).map(Result::unwrap).collect();
+    assert!(late[0].contains("\"ok\": true"), "{late:?}");
+    assert_eq!(&late[1], live.last().unwrap(), "late watch differs");
+    let status_of = |line: &str| {
+        line[line.find("\"status\": ").unwrap()..]
+            .trim()
+            .to_string()
+    };
+    let reported = daemon.request(&format!(r#"{{"op": "status", "job": "{job}"}}"#));
+    assert_eq!(status_of(&reported), status_of(&late[1]));
+    assert!(late[1].contains("\"state\": \"finished\""), "{late:?}");
+    daemon.shutdown();
+    fs::remove_dir_all(&dir).ok();
+}
+
 fn write_spec(dir: &Path, name: &str, body: &str) -> PathBuf {
     let path = dir.join(name);
     fs::write(&path, body).unwrap();
