@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks: raw simulator and algorithm throughput.
 //!
-//! These complement the experiment benches (which measure *rounds*, the unit of the
-//! paper's claims) with wall-clock numbers: how fast the simulator executes AlgAU
+//! These complement the experiment specs run by `sa run` (which measure *rounds*, the
+//! unit of the paper's claims) with wall-clock numbers: how fast the simulator executes AlgAU
 //! transitions, full synchronous rounds, and end-to-end stabilization runs.
 //!
 //! The `synchronous-round` group runs every topology under **both** signal

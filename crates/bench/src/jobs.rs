@@ -871,6 +871,21 @@ struct Dispatch {
     timed_out: Arc<AtomicBool>,
 }
 
+/// A [`JobScheduler::watch_all`] subscription: iterates the catch-up
+/// `job-finished` events, then blocks on the live stream until it closes.
+pub struct Firehose {
+    catch_up: std::vec::IntoIter<JobEvent>,
+    live: mpsc::Receiver<JobEvent>,
+}
+
+impl Iterator for Firehose {
+    type Item = JobEvent;
+
+    fn next(&mut self) -> Option<JobEvent> {
+        self.catch_up.next().or_else(|| self.live.recv().ok())
+    }
+}
+
 /// The persistent job queue + worker scheduler. See the module docs.
 pub struct JobScheduler {
     inner: Arc<Inner>,
@@ -1222,24 +1237,32 @@ impl JobScheduler {
 
     /// Subscribes to the firehose: every event of every job, in the one
     /// total order the sinks see. Jobs already terminal at subscription
-    /// time are represented by an immediate synthetic `job-finished` each
-    /// (id order), so a late subscriber still learns every outcome. Same
-    /// bounded-channel shedding as [`JobScheduler::watch`]. The channel
-    /// closes when the scheduler shuts down, right after the final
-    /// `job-finished` events (at once for a subscription made after that).
-    pub fn watch_all(&self) -> mpsc::Receiver<JobEvent> {
+    /// time are represented by a synthetic `job-finished` each (id order),
+    /// so a late subscriber still learns every outcome. That catch-up is a
+    /// snapshot taken under the lock that installs the subscriber, so it is
+    /// complete however many jobs have finished, and no live event falls
+    /// between it and the stream. Live events use the same bounded-channel
+    /// shedding as [`JobScheduler::watch`]. The stream ends when the
+    /// scheduler shuts down, right after the final `job-finished` events
+    /// (after the catch-up for a subscription made after that).
+    pub fn watch_all(&self) -> Firehose {
         let mut state = self.inner.state.lock().unwrap();
-        let (tx, rx) = mpsc::sync_channel(EVENT_BUFFER);
-        for (id, status) in state.finished.iter() {
-            let _ = tx.try_send(JobEvent::JobFinished {
+        let catch_up: Vec<JobEvent> = state
+            .finished
+            .iter()
+            .map(|(id, status)| JobEvent::JobFinished {
                 job: id.clone(),
                 status: (**status).clone(),
-            });
-        }
+            })
+            .collect();
+        let (tx, live) = mpsc::sync_channel(EVENT_BUFFER);
         if !self.inner.shutdown.is_cancelled() {
             state.firehose.push(tx);
         }
-        rx
+        Firehose {
+            catch_up: catch_up.into_iter(),
+            live,
+        }
     }
 
     /// Cancels a job: queued units are dropped, in-flight units stop at
@@ -1867,15 +1890,15 @@ mod tests {
         scheduler.wait(&id).unwrap();
         let early = scheduler.watch_all();
         scheduler.shutdown();
-        let catch_up = |rx: &mpsc::Receiver<JobEvent>| {
-            let events: Vec<JobEvent> = rx.iter().collect();
+        let catch_up = |rx: Firehose| {
+            let events: Vec<JobEvent> = rx.collect();
             assert_eq!(events.len(), 1, "{events:?}");
             assert_eq!(events[0].job(), id);
         };
         // Each stream ends after its catch-up: one open before shutdown,
         // and one opened after it.
-        catch_up(&early);
-        catch_up(&scheduler.watch_all());
+        catch_up(early);
+        catch_up(scheduler.watch_all());
         fs::remove_dir_all(&out).ok();
     }
 
@@ -2205,23 +2228,64 @@ mod tests {
             .unwrap()
             .id;
         scheduler.wait(&second).unwrap();
+        // Shutdown ends the stream after the final events.
+        scheduler.shutdown();
 
         let mut finished = Vec::new();
         let mut saw_unit_started = false;
-        while let Ok(event) = rx.recv_timeout(Duration::from_secs(10)) {
+        for event in rx {
             match event {
-                JobEvent::JobFinished { job, .. } => {
-                    finished.push(job.clone());
-                    if finished.len() == 2 {
-                        break;
-                    }
-                }
+                JobEvent::JobFinished { job, .. } => finished.push(job.clone()),
                 JobEvent::UnitStarted { .. } => saw_unit_started = true,
                 _ => {}
             }
         }
         assert_eq!(finished, vec![first, second]);
         assert!(saw_unit_started, "live events stream after catch-up");
+        fs::remove_dir_all(&out).ok();
+    }
+
+    /// The catch-up is not cut at the live channel's buffer size, and the
+    /// first live event after a long catch-up does not shed the subscriber.
+    /// Jobs with no execution unit finish inside `submit`, so a thousand of
+    /// them take moments.
+    #[test]
+    fn watch_all_catch_up_is_complete_beyond_the_event_buffer() {
+        let out = temp_dir("firehose-catch-up");
+        let instant = SweepSpec::parse(
+            r#"{"name": "instant", "tasks": [
+                {"id": "S", "kind": "state-space", "diameter_bounds": [1]}
+            ]}"#,
+        )
+        .unwrap();
+        let scheduler = JobScheduler::new(1);
+        let archived = EVENT_BUFFER + 10;
+        for _ in 0..archived {
+            scheduler
+                .submit(JobConfig::new(instant.clone(), out.clone()))
+                .unwrap();
+        }
+        let rx = scheduler.watch_all();
+        let live = scheduler
+            .submit(JobConfig::new(instant, out.clone()))
+            .unwrap()
+            .id;
+        scheduler.shutdown();
+
+        let mut finished = Vec::new();
+        let mut saw_live_accepted = false;
+        for event in rx {
+            match event {
+                JobEvent::JobFinished { job, .. } => finished.push(job),
+                JobEvent::JobAccepted { job, .. } => saw_live_accepted |= job == live,
+                _ => {}
+            }
+        }
+        assert_eq!(finished.len(), archived + 1, "one job-finished per job");
+        assert_eq!(finished.last(), Some(&live), "the live job finishes last");
+        let unique: std::collections::BTreeSet<_> = finished.iter().collect();
+        assert_eq!(unique.len(), finished.len(), "no job reported twice");
+        assert!(saw_live_accepted, "live events follow the catch-up");
         fs::remove_dir_all(&out).ok();
     }
 }

@@ -4,8 +4,8 @@
 //! A *sweep spec* is a JSON document (parsed with [`sa_model::json`], no
 //! external dependencies) describing a grid of experiment configurations:
 //! **algorithms** × topologies × schedulers × engines × fault plans × seeds,
-//! plus the paper-artifact tasks (transition table, state-space counts) that
-//! need no execution. The spec expands into independent [`SweepUnit`]s; each
+//! plus the *instant* tasks that run while the report renders (see below).
+//! The spec expands into independent [`SweepUnit`]s; each
 //! execution unit runs through [`run_unit`], which supports
 //! **checkpoint/resume**: the in-flight execution state (configuration,
 //! counters, scheduler position, RNG streams — see [`sa_model::snapshot`])
@@ -21,8 +21,8 @@
 //! (`"algau"`, the default), the unbounded-register `"min-plus-one"`
 //! baseline of experiment E9, and the asynchronous leader-election and MIS
 //! algorithms obtained from AlgLE/AlgMIS through the synchronizer of
-//! Corollary 1.2 (`"le"`, `"mis"` — the protocol workloads of experiments
-//! E5–E7). Each family's starts, fault palette, legitimacy predicate, task
+//! Corollary 1.2 (`"le"`, `"mis"` — the asynchronous side of experiment
+//! E7). Each family's starts, fault palette, legitimacy predicate, task
 //! checker and checkpoint codec come from its entry in the family table
 //! (`family.rs`); the phase machine ([`run_unit`]) is shared, so
 //! checkpoint/resume bit-identity holds uniformly across the axis.
@@ -40,24 +40,45 @@
 //! harshness-dependent fraction of the cells, each recovery measured in
 //! rounds and checkpointable mid-burst like any other unit.
 //!
+//! # Instant tasks
+//!
+//! Four task kinds expand into no units; [`run_instant_tasks`] computes
+//! their rows (and artifacts) when the report renders:
+//!
+//! * `transition-table` (E1) — AlgAU's Table 1 and Figure 1 at one bound;
+//! * `state-space` (E2) — state counts per diameter bound, optionally of
+//!   the derived algorithms too;
+//! * `restart-exit` (E4, Theorem 3.1) — module Restart around a trivial
+//!   host, from random configurations with at least one node restarting,
+//!   under the synchronous scheduler
+//!   ([`measure_restart_exit`]);
+//! * `static` (E5/E6, Theorems 1.3 and 1.4) — the synchronous AlgLE /
+//!   AlgMIS from random configurations under the synchronous scheduler,
+//!   measured by output stability
+//!   ([`measure_static_stabilization`]).
+//!
+//! The two measuring kinds are parsed strictly (an unknown field is an
+//! error), and each of their rows counts in `failures` every trial that
+//! did not exit concurrently into the host's initial state, or that had
+//! no clean tail at the end of its horizon.
+//!
 //! Unit dispatch lives one layer up, in [`crate::jobs`]: a job scheduler
 //! with a priority queue, a worker budget and pluggable result sinks that
 //! persists checkpoints and unit results under an output directory and
 //! renders the aggregate to `EXPERIMENTS.json` + `EXPERIMENTS.md`
 //! ([`render_json`] / [`render_markdown`]). Both the batch `sa` CLI
 //! (`crates/sa-cli`) and the `sa serve` daemon are thin clients of that
-//! core. The in-tree experiments E1–E3 run on the same primitives
-//! ([`transition_table_rows`], [`state_space_rows`],
-//! [`run_stabilization_on_graph`]) so that the bench targets and the CLI
-//! cannot drift apart.
+//! core, and every experiment of the paper is a committed spec they run
+//! (see the crate docs).
 
-use crate::family::{with_family, AuFamily, State, SweepFamily};
-use crate::report::ExperimentReport;
+use crate::family::{with_family, State, SweepFamily};
 use bio_networks::Harshness;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sa_model::algorithm::StateSpace;
-use sa_model::checker::{push_violation, violations_capped, TaskChecker};
+use sa_model::checker::{
+    measure_static_stabilization, push_violation, violations_capped, TaskChecker,
+};
 use sa_model::engine::EngineKind;
 use sa_model::executor::{Execution, ExecutionBuilder};
 use sa_model::fault::{FaultInjector, FaultInjectorSnapshot, FaultPlan};
@@ -71,6 +92,8 @@ use sa_model::scheduler::{
 };
 use sa_model::snapshot::{u64_from_json, u64_to_json};
 use sa_model::topology::Topology;
+use sa_protocols::restart::{measure_restart_exit, RestartState, TrivialHost, WithRestart};
+use sa_protocols::{alg_le, alg_mis, LeChecker, MisChecker};
 use sa_runtime::parallel::CancelToken;
 use unison_core::AlgAu;
 
@@ -117,6 +140,49 @@ pub(crate) fn bool_opt(value: &JsonValue, key: &str, ctx: &str) -> Result<bool, 
         Some(JsonValue::Bool(b)) => Ok(*b),
         Some(_) => Err(format!("{ctx}: field \"{key}\" must be a boolean")),
     }
+}
+
+/// An optional positive integer field; a present `0` is an error.
+fn positive_opt(value: &JsonValue, key: &str, ctx: &str) -> Result<Option<u64>, SpecError> {
+    match u64_opt(value, key, ctx)? {
+        Some(0) => Err(format!("{ctx}: field \"{key}\" must be positive")),
+        other => Ok(other),
+    }
+}
+
+/// A required array field, parsed item by item.
+pub(crate) fn list_field<T>(
+    value: &JsonValue,
+    key: &str,
+    ctx: &str,
+    item: impl Fn(&JsonValue, &str) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    field(value, key, ctx)?
+        .as_array()
+        .ok_or_else(|| format!("{ctx}: \"{key}\" must be an array"))?
+        .iter()
+        .map(|v| item(v, ctx))
+        .collect()
+}
+
+/// Rejects every field of a task outside `allowed`. The strictly parsed
+/// kinds (`verify`, `restart-exit`, `static`) call this first: a typo
+/// such as `"max_round"` would otherwise fall back to a default silently.
+pub(crate) fn reject_unknown_fields(
+    task: &JsonValue,
+    allowed: &[&str],
+    kind: &str,
+    ctx: &str,
+) -> Result<(), SpecError> {
+    if let JsonValue::Object(map) = task {
+        if let Some(key) = map.keys().find(|k| !allowed.contains(&k.as_str())) {
+            return Err(format!(
+                "{ctx}: unknown field \"{key}\" in {kind} task (allowed: {})",
+                allowed.join(", ")
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -193,7 +259,7 @@ pub enum SweepTask {
         /// versions) at each bound.
         include_derived: bool,
     },
-    /// E3/E5–E7/E9-style measurement: stabilization rounds over an algorithm
+    /// E3/E7/E9-style measurement: stabilization rounds over an algorithm
     /// × topology × scheduler × engine × seed grid, with optional fault
     /// injection. Expands into checkpointable [`SweepUnit`]s.
     Stabilization(StabilizationTask),
@@ -207,6 +273,11 @@ pub enum SweepTask {
     /// and certify closure + convergence, emitting counterexample traces
     /// on violation (the `sa verify` subcommand; see [`crate::verify`]).
     Verify(crate::verify::VerifyTask),
+    /// E4: module Restart's concurrent exit (Theorem 3.1). Instant.
+    RestartExit(RestartExitTask),
+    /// E5/E6: synchronous AlgLE/AlgMIS stabilization (Theorems 1.3 and
+    /// 1.4). Instant.
+    Static(StaticTask),
 }
 
 impl SweepTask {
@@ -218,6 +289,8 @@ impl SweepTask {
             SweepTask::Stabilization(t) => &t.id,
             SweepTask::Scenario(t) => &t.id,
             SweepTask::Verify(t) => &t.id,
+            SweepTask::RestartExit(t) => &t.id,
+            SweepTask::Static(t) => &t.id,
         }
     }
 }
@@ -274,6 +347,136 @@ pub struct ScenarioTask {
     pub max_rounds: Option<u64>,
     /// Post-stabilization verification window; `None` uses `4·D + 8`.
     pub verify_rounds: Option<u64>,
+}
+
+/// The grid of a `restart-exit` task: every topology × seed is one trial
+/// of module Restart around a trivial host.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RestartExitTask {
+    /// Task identifier (e.g. `"E4"`).
+    pub id: String,
+    /// Topologies to measure on (randomized families build with the spec's
+    /// `graph_seed`).
+    pub topologies: Vec<Topology>,
+    /// Diameter bound of the Restart module; `None` uses each built graph's
+    /// exact diameter.
+    pub diameter_bound: Option<usize>,
+    /// Number of independent trials per topology.
+    pub seeds: u64,
+}
+
+/// The fields a `restart-exit` task may carry.
+const RESTART_EXIT_TASK_KEYS: &[&str] = &["id", "kind", "topologies", "diameter_bound", "seeds"];
+
+/// The clock period of the trivial host that module Restart wraps in a
+/// `restart-exit` trial.
+const RESTART_HOST_PERIOD: u32 = 5;
+
+impl RestartExitTask {
+    fn from_json(task: &JsonValue, id: String, ctx: &str) -> Result<Self, SpecError> {
+        reject_unknown_fields(task, RESTART_EXIT_TASK_KEYS, "restart-exit", ctx)?;
+        let topologies = list_field(task, "topologies", ctx, topology_from_json)?;
+        if topologies.is_empty() {
+            return Err(format!("{ctx}: topologies must be non-empty"));
+        }
+        Ok(RestartExitTask {
+            id,
+            topologies,
+            diameter_bound: positive_opt(task, "diameter_bound", ctx)?.map(|d| d as usize),
+            seeds: positive_opt(task, "seeds", ctx)?.unwrap_or(1),
+        })
+    }
+}
+
+/// The synchronous algorithms a `static` task measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StaticAlgorithm {
+    /// AlgLE, leader election (Theorem 1.3; spec label `"algle"`).
+    AlgLe,
+    /// AlgMIS, maximal independent set (Theorem 1.4; spec label
+    /// `"algmis"`).
+    AlgMis,
+}
+
+impl StaticAlgorithm {
+    /// The spec label, also the metric prefix of the task's rows.
+    fn label(&self) -> &'static str {
+        match self {
+            StaticAlgorithm::AlgLe => "algle",
+            StaticAlgorithm::AlgMis => "algmis",
+        }
+    }
+
+    /// The default horizon on an `n`-node graph of diameter `d` (see
+    /// [`StaticTask::max_rounds`]).
+    fn default_horizon(&self, n: usize, d: usize) -> u64 {
+        let log_n = (n as f64).log2().ceil() as usize;
+        match self {
+            StaticAlgorithm::AlgLe => (80 * d * (log_n + 4) + 800) as u64,
+            StaticAlgorithm::AlgMis => (60 * (d + 8) * (log_n + 2) + 600) as u64,
+        }
+    }
+
+    fn from_json(value: &JsonValue, ctx: &str) -> Result<Self, SpecError> {
+        match value.as_str() {
+            Some("algle") => Ok(StaticAlgorithm::AlgLe),
+            Some("algmis") => Ok(StaticAlgorithm::AlgMis),
+            Some(other) => Err(format!(
+                "{ctx}: unknown static algorithm \"{other}\" (expected \"algle\" or \"algmis\")"
+            )),
+            None => Err(format!("{ctx}: algorithm must be a string")),
+        }
+    }
+}
+
+/// The grid of a `static` task: algorithm × topology × seed trials of the
+/// synchronous AlgLE/AlgMIS from random configurations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StaticTask {
+    /// Task identifier (e.g. `"E5"`).
+    pub id: String,
+    /// Algorithms to measure.
+    pub algorithms: Vec<StaticAlgorithm>,
+    /// Topologies to measure on (randomized families build with the spec's
+    /// `graph_seed`); each algorithm runs with its graph's exact diameter.
+    pub topologies: Vec<Topology>,
+    /// Number of independent trials per cell.
+    pub seeds: u64,
+    /// Horizon in rounds; `None` uses a constant multiple of the theorem's
+    /// bound on the graph's `n` and diameter `D`: `80·D·(⌈log n⌉+4) + 800`
+    /// for AlgLE, `60·(D+8)·(⌈log n⌉+2) + 600` for AlgMIS. The last eighth
+    /// of the horizon (at least one round) must be clean and unchanged.
+    pub max_rounds: Option<u64>,
+}
+
+/// The fields a `static` task may carry.
+const STATIC_TASK_KEYS: &[&str] = &[
+    "id",
+    "kind",
+    "algorithms",
+    "topologies",
+    "seeds",
+    "max_rounds",
+];
+
+impl StaticTask {
+    fn from_json(task: &JsonValue, id: String, ctx: &str) -> Result<Self, SpecError> {
+        reject_unknown_fields(task, STATIC_TASK_KEYS, "static", ctx)?;
+        let algorithms = list_field(task, "algorithms", ctx, StaticAlgorithm::from_json)?;
+        let topologies = list_field(task, "topologies", ctx, topology_from_json)?;
+        if algorithms.is_empty() || topologies.is_empty() {
+            return Err(format!(
+                "{ctx}: algorithms and topologies must be non-empty"
+            ));
+        }
+        Ok(StaticTask {
+            id,
+            algorithms,
+            topologies,
+            seeds: positive_opt(task, "seeds", ctx)?.unwrap_or(1),
+            max_rounds: positive_opt(task, "max_rounds", ctx)?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -674,16 +877,6 @@ fn fault_from_json(value: Option<&JsonValue>, ctx: &str) -> Result<FaultPlan, Sp
     }
 }
 
-/// Parses a task's `"schedulers"` array.
-fn schedulers_from_json(task: &JsonValue, ctx: &str) -> Result<Vec<SchedulerSpec>, SpecError> {
-    field(task, "schedulers", ctx)?
-        .as_array()
-        .ok_or_else(|| format!("{ctx}: \"schedulers\" must be an array"))?
-        .iter()
-        .map(|s| SchedulerSpec::from_json(s, ctx))
-        .collect()
-}
-
 /// Parses a task's `"engines"` array (default: `[serial]`).
 fn engines_from_json(task: &JsonValue, ctx: &str) -> Result<Vec<EngineSpec>, SpecError> {
     match task.get("engines") {
@@ -763,20 +956,11 @@ impl SweepSpec {
                 Some("stabilization") => {
                     let algorithms = match task.get("algorithms") {
                         None => vec![AlgorithmSpec::AlgAu],
-                        Some(v) => v
-                            .as_array()
-                            .ok_or_else(|| format!("{ctx}: \"algorithms\" must be an array"))?
-                            .iter()
-                            .map(|a| algorithm_from_json(a, &ctx))
-                            .collect::<Result<Vec<_>, _>>()?,
+                        Some(_) => list_field(task, "algorithms", &ctx, algorithm_from_json)?,
                     };
-                    let topologies = field(task, "topologies", &ctx)?
-                        .as_array()
-                        .ok_or_else(|| format!("{ctx}: \"topologies\" must be an array"))?
-                        .iter()
-                        .map(|t| topology_from_json(t, &ctx))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let schedulers = schedulers_from_json(task, &ctx)?;
+                    let topologies = list_field(task, "topologies", &ctx, topology_from_json)?;
+                    let schedulers =
+                        list_field(task, "schedulers", &ctx, SchedulerSpec::from_json)?;
                     let engines = engines_from_json(task, &ctx)?;
                     if algorithms.is_empty()
                         || topologies.is_empty()
@@ -805,7 +989,8 @@ impl SweepSpec {
                 }
                 Some("scenario") => {
                     let scenario = ScenarioSpec::from_json(field(task, "scenario", &ctx)?, &ctx)?;
-                    let schedulers = schedulers_from_json(task, &ctx)?;
+                    let schedulers =
+                        list_field(task, "schedulers", &ctx, SchedulerSpec::from_json)?;
                     let engines = engines_from_json(task, &ctx)?;
                     if schedulers.is_empty() || engines.is_empty() {
                         return Err(format!("{ctx}: schedulers and engines must be non-empty"));
@@ -826,6 +1011,12 @@ impl SweepSpec {
                     tasks.push(SweepTask::Verify(crate::verify::VerifyTask::from_json(
                         task, id, &ctx,
                     )?));
+                }
+                Some("restart-exit") => tasks.push(SweepTask::RestartExit(
+                    RestartExitTask::from_json(task, id, &ctx)?,
+                )),
+                Some("static") => {
+                    tasks.push(SweepTask::Static(StaticTask::from_json(task, id, &ctx)?))
                 }
                 Some(other) => return Err(format!("{ctx}: unknown task kind \"{other}\"")),
                 None => return Err(format!("{ctx}: \"kind\" must be a string")),
@@ -908,7 +1099,9 @@ impl SweepSpec {
                 }
                 SweepTask::TransitionTable { .. }
                 | SweepTask::StateSpace { .. }
-                | SweepTask::Verify(_) => {}
+                | SweepTask::Verify(_)
+                | SweepTask::RestartExit(_)
+                | SweepTask::Static(_) => {}
             }
         }
         units
@@ -1171,8 +1364,20 @@ struct UnitParams<'a> {
 }
 
 /// Runs one sweep unit (building its graph first and dispatching on the
-/// unit's [`AlgorithmSpec`]); see the module docs for the shared phase
-/// machine.
+/// unit's [`AlgorithmSpec`]) through the shared phase machine, with
+/// checkpoint/resume support.
+///
+/// Semantics match [`measure_stabilization`](sa_model::checker::measure_stabilization)
+/// (pinned by `tests/oracle_equivalence.rs`): legitimacy is checked at time
+/// 0 and at every round boundary; once it holds, a verification window of
+/// `verify_rounds` rounds checks the task's safety at every boundary and
+/// its liveness over the window. Per-round fault injection runs after the
+/// boundary's checks, so a fault surfaces in the *next* round's check.
+///
+/// Every source of randomness is either keyed by `(seed, node, step)`
+/// (transition coins) or captured exactly in the checkpoint (scheduler
+/// stream, fault injector stream), so a resumed run is bit-identical to an
+/// uninterrupted one.
 pub fn run_unit(unit: &SweepUnit, policy: &CheckpointPolicy<'_>) -> Result<UnitOutcome, SpecError> {
     let graph = unit.topology.build(unit.graph_seed);
     let d = unit.diameter_bound.unwrap_or_else(|| graph.diameter());
@@ -1191,53 +1396,6 @@ pub fn run_unit(unit: &SweepUnit, policy: &CheckpointPolicy<'_>) -> Result<UnitO
     with_family!(unit.algorithm, d, |family| {
         run_unit_generic(family, &graph, &params, policy)
     })
-}
-
-/// Runs an AlgAU stabilization measurement on an explicit graph, with
-/// checkpoint/resume support (the `algorithm = "algau"` arm of the axis;
-/// kept as a named entry point because E3's `au_trial` is pinned to
-/// [`measure_stabilization`](sa_model::checker::measure_stabilization)
-/// through it).
-///
-/// Semantics match `measure_stabilization` — legitimacy ("the graph is
-/// good") is checked at time 0 and at every round boundary; once it holds, a
-/// verification window of `verify_rounds` rounds checks the AU task's safety
-/// at every boundary and its liveness over the window — extended with
-/// per-round fault injection (after the boundary's legitimacy/safety check,
-/// so a fault surfaces in the *next* round's check) and with checkpointing
-/// at step boundaries.
-///
-/// Every source of randomness is either keyed by `(seed, node, step)`
-/// (transition coins) or captured exactly in the checkpoint (scheduler
-/// stream, fault injector stream), so a resumed run is bit-identical to an
-/// uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-pub fn run_stabilization_on_graph(
-    graph: &Graph,
-    diameter_bound: usize,
-    scheduler: &SchedulerSpec,
-    engine: EngineKind,
-    fault: &FaultPlan,
-    seed: u64,
-    max_rounds: u64,
-    verify_rounds: u64,
-    policy: &CheckpointPolicy<'_>,
-) -> Result<UnitOutcome, SpecError> {
-    run_unit_generic(
-        &AuFamily::new(diameter_bound),
-        graph,
-        &UnitParams {
-            scheduler,
-            engine,
-            fault,
-            init: InitSpec::Random,
-            recovery: None,
-            seed,
-            max_rounds,
-            verify_rounds,
-        },
-        policy,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1650,14 +1808,12 @@ impl Progress {
 }
 
 // ---------------------------------------------------------------------------
-// Instant (artifact) tasks — shared by E1/E2 and the CLI
+// Instant tasks
 // ---------------------------------------------------------------------------
 
 /// The E1 artifacts at a diameter bound: the rendered transition table, the
 /// Graphviz DOT state diagram and the per-kind rule counts `(AA, AF, FA)`.
-pub fn transition_table_artifacts(
-    diameter_bound: usize,
-) -> (String, String, (usize, usize, usize)) {
+fn transition_table_artifacts(diameter_bound: usize) -> (String, String, (usize, usize, usize)) {
     let alg = AlgAu::new(diameter_bound);
     let rows = alg.transition_table();
     let mut table = format!("{:<14} {:<6} {:<14} condition\n", "from", "type", "to");
@@ -1683,7 +1839,7 @@ pub fn transition_table_artifacts(
 }
 
 /// E1 as rows: one row per rule kind, so the counts land in reports.
-pub fn transition_table_rows(id: &str, diameter_bound: usize) -> Vec<ExperimentRow> {
+fn transition_table_rows(id: &str, diameter_bound: usize) -> Vec<ExperimentRow> {
     let (_, _, (aa, af, fa)) = transition_table_artifacts(diameter_bound);
     let alg = AlgAu::new(diameter_bound);
     [
@@ -1708,7 +1864,7 @@ pub fn transition_table_rows(id: &str, diameter_bound: usize) -> Vec<ExperimentR
 
 /// E2 as rows: AlgAU's state count at every bound, plus (optionally) the
 /// derived algorithms' counts.
-pub fn state_space_rows(
+fn state_space_rows(
     id: &str,
     diameter_bounds: &[usize],
     include_derived: bool,
@@ -1736,7 +1892,7 @@ pub fn state_space_rows(
 /// The state-space counts of the algorithms *derived* from AlgAU (LE, MIS
 /// and their synchronized asynchronous versions), one row per metric per
 /// bound.
-pub fn derived_state_space_rows(id: &str, diameter_bounds: &[usize]) -> Vec<ExperimentRow> {
+fn derived_state_space_rows(id: &str, diameter_bounds: &[usize]) -> Vec<ExperimentRow> {
     let mut rows = Vec::new();
     for &d in diameter_bounds {
         let le = sa_protocols::alg_le(d);
@@ -1762,6 +1918,130 @@ pub fn derived_state_space_rows(id: &str, diameter_bounds: &[usize]) -> Vec<Expe
         }
     }
     rows
+}
+
+/// One row of a measuring instant task: the per-trial rounds of one cell,
+/// with every `None` trial counted in `failures`.
+fn trial_row(
+    id: &str,
+    topology: &Topology,
+    graph: &Graph,
+    diameter_bound: usize,
+    metric: String,
+    outcomes: &[Option<u64>],
+) -> ExperimentRow {
+    let rounds: Vec<u64> = outcomes.iter().flatten().copied().collect();
+    ExperimentRow {
+        experiment: id.to_string(),
+        topology: topology.label(),
+        n: graph.node_count(),
+        diameter_bound,
+        scheduler: SchedulerSpec::Synchronous.label(),
+        metric,
+        summary: Summary::of_u64(if rounds.is_empty() { &[0] } else { &rounds }),
+        failures: outcomes.len() - rounds.len(),
+    }
+}
+
+/// E4 as rows: per topology, the synchronous round at which module
+/// Restart (around a trivial host) was left by every node. A trial starts
+/// from a configuration drawn from `seed` alone, with node 0 and about half
+/// of the others in uniformly random Restart states and the rest in random
+/// host states; it fails unless every node exits in the same round, into
+/// the host's initial state, within `4·D + 10` rounds.
+fn restart_exit_rows(task: &RestartExitTask, graph_seed: u64) -> Vec<ExperimentRow> {
+    let mut rows = Vec::new();
+    for topology in &task.topologies {
+        let graph = topology.build(graph_seed);
+        let d = task.diameter_bound.unwrap_or_else(|| graph.diameter());
+        let wrapper = WithRestart::new(TrivialHost::new(RESTART_HOST_PERIOD), d);
+        let outcomes: Vec<Option<u64>> = (0..task.seeds)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let start = (0..graph.node_count())
+                    .map(|v| {
+                        if v == 0 || rng.gen_bool(0.5) {
+                            RestartState::Restart(rng.gen_range(0..=wrapper.exit_index()))
+                        } else {
+                            RestartState::Host(rng.gen_range(0..RESTART_HOST_PERIOD))
+                        }
+                    })
+                    .collect();
+                measure_restart_exit(&wrapper, &graph, start, seed, 4 * d as u64 + 10)
+                    .filter(|exit| exit.concurrent && exit.uniform_exit)
+                    .map(|exit| exit.exit_round)
+            })
+            .collect();
+        rows.push(trial_row(
+            &task.id,
+            topology,
+            &graph,
+            d,
+            "restart:rounds-to-exit".to_string(),
+            &outcomes,
+        ));
+    }
+    rows
+}
+
+/// E5/E6 as rows: per algorithm × topology, the stabilization round of the
+/// synchronous algorithm from uniformly random configurations, measured by
+/// output stability over the horizon.
+fn static_rows(task: &StaticTask, graph_seed: u64) -> Vec<ExperimentRow> {
+    let mut rows = Vec::new();
+    for algorithm in &task.algorithms {
+        for topology in &task.topologies {
+            let graph = topology.build(graph_seed);
+            let d = graph.diameter();
+            let horizon = task
+                .max_rounds
+                .unwrap_or_else(|| algorithm.default_horizon(graph.node_count(), d));
+            let outcomes = match algorithm {
+                StaticAlgorithm::AlgLe => {
+                    static_trials(&alg_le(d), &LeChecker, &graph, task.seeds, horizon)
+                }
+                StaticAlgorithm::AlgMis => {
+                    static_trials(&alg_mis(d), &MisChecker, &graph, task.seeds, horizon)
+                }
+            };
+            let metric = format!("{}:rounds-to-stable", algorithm.label());
+            rows.push(trial_row(&task.id, topology, &graph, d, metric, &outcomes));
+        }
+    }
+    rows
+}
+
+/// Seeds `0..seeds` of one static cell; `None` marks a trial whose clean,
+/// unchanged tail was shorter than an eighth of the horizon (at least one
+/// round).
+fn static_trials<A, C>(
+    algorithm: &A,
+    checker: &C,
+    graph: &Graph,
+    seeds: u64,
+    horizon: u64,
+) -> Vec<Option<u64>>
+where
+    A: StateSpace,
+    C: TaskChecker<A>,
+{
+    let palette = algorithm.states();
+    let tail = (horizon / 8).max(1);
+    (0..seeds)
+        .map(|seed| {
+            let mut exec = ExecutionBuilder::new(algorithm, graph)
+                .seed(seed)
+                .random_initial(&palette);
+            measure_static_stabilization(
+                &mut exec,
+                &mut SynchronousScheduler,
+                checker,
+                horizon,
+                tail,
+            )
+            .stabilization_round
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1977,37 +2257,12 @@ pub fn run_instant_tasks(spec: &SweepSpec) -> (Vec<ExperimentRow>, Vec<(String, 
             } => {
                 rows.extend(state_space_rows(id, diameter_bounds, *include_derived));
             }
+            SweepTask::RestartExit(task) => rows.extend(restart_exit_rows(task, spec.graph_seed)),
+            SweepTask::Static(task) => rows.extend(static_rows(task, spec.graph_seed)),
             SweepTask::Stabilization(_) | SweepTask::Scenario(_) | SweepTask::Verify(_) => {}
         }
     }
     (rows, artifacts)
-}
-
-/// Convenience: runs an entire spec in-process without persistence —
-/// expands, executes every unit (serially, honoring each unit's engine
-/// selection) and returns the aggregate report pieces. The CLI adds
-/// parallel fan-out, checkpoint persistence and file output on top.
-pub fn run_spec_in_process(spec: &SweepSpec) -> Result<ExperimentReport, SpecError> {
-    let units = spec.execution_units();
-    let mut done = Vec::with_capacity(units.len());
-    for unit in units {
-        match run_unit(&unit, &CheckpointPolicy::default())? {
-            UnitOutcome::Complete(result) => done.push((unit, result)),
-            UnitOutcome::Interrupted(_) => unreachable!("no interrupt policy"),
-        }
-    }
-    let (mut rows, artifacts) = run_instant_tasks(spec);
-    rows.extend(aggregate_rows(&done));
-    let mut report = ExperimentReport::new(
-        &spec.name,
-        "declarative sweep",
-        "spec-driven sweep (see examples/specs/)",
-    );
-    let clean = done.iter().filter(|(_, r)| r.is_clean()).count();
-    report.verdict = format!("{clean}/{} units clean", done.len());
-    report.rows = rows;
-    report.artifacts = artifacts;
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -2367,6 +2622,165 @@ mod tests {
         assert!(rows.iter().any(|r| r.metric == "aa-rules"));
         assert_eq!(artifacts.len(), 2);
         assert!(artifacts[1].1.contains("digraph"));
+    }
+
+    /// A spec whose only task is `task` (a JSON object literal).
+    fn one_task(task: &str) -> Result<SweepSpec, SpecError> {
+        SweepSpec::parse(&format!(r#"{{"name": "t", "tasks": [{task}]}}"#))
+    }
+
+    #[test]
+    fn measuring_instant_tasks_parse_strictly() {
+        let spec = one_task(
+            r#"{"id": "R", "kind": "restart-exit", "topologies": [{"kind": "path", "n": 3}],
+                "diameter_bound": 4, "seeds": 2}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            spec.tasks[0],
+            SweepTask::RestartExit(RestartExitTask {
+                id: "R".into(),
+                topologies: vec![Topology::Path { n: 3 }],
+                diameter_bound: Some(4),
+                seeds: 2,
+            })
+        );
+        let spec = one_task(
+            r#"{"id": "S", "kind": "static", "algorithms": ["algle", "algmis"],
+                "topologies": [{"kind": "star", "n": 5}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            spec.tasks[0],
+            SweepTask::Static(StaticTask {
+                id: "S".into(),
+                algorithms: vec![StaticAlgorithm::AlgLe, StaticAlgorithm::AlgMis],
+                topologies: vec![Topology::Star { n: 5 }],
+                seeds: 1,
+                max_rounds: None,
+            })
+        );
+        assert!(
+            spec.execution_units().is_empty(),
+            "instant tasks run no units"
+        );
+
+        for (task, expected) in [
+            (
+                r#"{"id": "R", "kind": "restart-exit", "topologies": [{"kind": "path", "n": 3}],
+                    "seed": 2}"#,
+                "unknown field \"seed\" in restart-exit task (allowed:",
+            ),
+            (
+                r#"{"id": "S", "kind": "static", "algorithms": ["algmis"],
+                    "topologies": [{"kind": "path", "n": 3}], "max_round": 9}"#,
+                "unknown field \"max_round\" in static task (allowed:",
+            ),
+            (
+                r#"{"id": "S", "kind": "static", "algorithms": ["mis"],
+                    "topologies": [{"kind": "path", "n": 3}]}"#,
+                "unknown static algorithm \"mis\"",
+            ),
+            (
+                r#"{"id": "R", "kind": "restart-exit", "topologies": []}"#,
+                "topologies must be non-empty",
+            ),
+            (
+                r#"{"id": "S", "kind": "static", "algorithms": ["algle"], "topologies": []}"#,
+                "topologies must be non-empty",
+            ),
+            (
+                r#"{"id": "S", "kind": "static", "algorithms": ["algle"],
+                    "topologies": [{"kind": "path", "n": 3}], "max_rounds": 0}"#,
+                "\"max_rounds\" must be positive",
+            ),
+        ] {
+            let err = one_task(task).unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
+    }
+
+    /// Theorem 3.1 at small scale: every trial exits concurrently into the
+    /// host's start state, within the `4·D + 10` horizon, with the bound
+    /// either implicit (the exact diameter) or explicit and loose.
+    #[test]
+    fn restart_exit_rows_exit_concurrently() {
+        let spec = one_task(
+            r#"{"id": "E4", "kind": "restart-exit",
+                "topologies": [{"kind": "complete", "n": 4}, {"kind": "path", "n": 5},
+                               {"kind": "cycle", "n": 8}],
+                "seeds": 5}"#,
+        )
+        .unwrap();
+        let (rows, artifacts) = run_instant_tasks(&spec);
+        assert!(artifacts.is_empty());
+        let bounds: Vec<usize> = rows.iter().map(|r| r.diameter_bound).collect();
+        assert_eq!(bounds, [1, 4, 4]);
+        for row in &rows {
+            assert_eq!(row.metric, "restart:rounds-to-exit");
+            assert_eq!(row.scheduler, "synchronous");
+            assert_eq!((row.summary.count, row.failures), (5, 0), "{row:?}");
+            assert!(row.summary.max <= (4 * row.diameter_bound + 10) as f64);
+        }
+        let loose = one_task(
+            r#"{"id": "E4", "kind": "restart-exit", "diameter_bound": 6,
+                "topologies": [{"kind": "path", "n": 3}], "seeds": 5}"#,
+        )
+        .unwrap();
+        let (rows, _) = run_instant_tasks(&loose);
+        assert_eq!((rows[0].diameter_bound, rows[0].failures), (6, 0));
+    }
+
+    #[test]
+    fn static_task_solves_mis_on_a_small_graph() {
+        let spec = one_task(
+            r#"{"id": "E5", "kind": "static", "algorithms": ["algmis"],
+                "topologies": [{"kind": "complete", "n": 6}], "seeds": 3, "max_rounds": 3000}"#,
+        )
+        .unwrap();
+        let (rows, _) = run_instant_tasks(&spec);
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
+        assert_eq!(row.metric, "algmis:rounds-to-stable");
+        assert_eq!((row.n, row.diameter_bound), (6, 1));
+        assert_eq!((row.summary.count, row.failures), (3, 0), "{row:?}");
+        assert!(row.summary.max < 3000.0 - 3000.0 / 8.0);
+    }
+
+    /// A horizon too short for a clean tail fails every trial rather than
+    /// reporting a stabilization round.
+    #[test]
+    fn static_task_counts_too_short_horizons_as_failures() {
+        let spec = one_task(
+            r#"{"id": "E6", "kind": "static", "algorithms": ["algle", "algmis"],
+                "topologies": [{"kind": "grid", "rows": 4, "cols": 4}], "seeds": 3,
+                "max_rounds": 1}"#,
+        )
+        .unwrap();
+        let (rows, _) = run_instant_tasks(&spec);
+        assert_eq!(rows.len(), 2);
+        for row in &rows {
+            assert_eq!(row.failures, 3, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn measuring_instant_task_rows_are_reproducible() {
+        let spec = SweepSpec::parse(
+            r#"{"name": "claims", "graph_seed": 3, "tasks": [
+                {"id": "E4", "kind": "restart-exit",
+                 "topologies": [{"kind": "random-regular", "n": 12, "deg": 3}], "seeds": 4},
+                {"id": "E56", "kind": "static", "algorithms": ["algle", "algmis"],
+                 "topologies": [{"kind": "erdos-renyi", "n": 12, "p": 0.4}], "seeds": 3}
+            ]}"#,
+        )
+        .unwrap();
+        let first = run_instant_tasks(&spec);
+        assert_eq!(first.0.len(), 3);
+        assert!(first.0.iter().all(|r| r.failures == 0), "{:?}", first.0);
+        assert_eq!(run_instant_tasks(&spec), first);
+        let render = |rows: &[ExperimentRow]| render_json(&spec, rows, &[]).render_pretty();
+        assert_eq!(render(&run_instant_tasks(&spec).0), render(&first.0));
     }
 
     #[test]

@@ -41,7 +41,8 @@
 
 use crate::family::{with_family, AlgorithmSpec, Family, ResetAttemptFamily, State};
 use crate::sweep::{
-    field, topology_from_json, u64_opt, usize_field, SpecError, SweepSpec, SweepTask,
+    field, list_field, reject_unknown_fields, topology_from_json, u64_opt, usize_field, SpecError,
+    SweepSpec, SweepTask,
 };
 use sa_model::explore::{
     explore, ConvergenceMode, ExploreConfig, ExploreProgress, ExploreReport, ExploreStats,
@@ -68,10 +69,9 @@ fn env_max_states() -> Option<usize> {
 // Spec model
 // ---------------------------------------------------------------------------
 
-/// The fields a `verify` task may carry. Unlike the measurement tasks,
-/// verify parsing rejects unknown fields outright: a typo like
-/// `"max_state"` would otherwise silently fall back to the default budget
-/// and weaken the certificate.
+/// The fields a `verify` task may carry. Verify parsing rejects unknown
+/// fields outright: a typo like `"max_state"` would otherwise silently
+/// fall back to the default budget and weaken the certificate.
 const VERIFY_TASK_KEYS: &[&str] = &[
     "id",
     "kind",
@@ -194,28 +194,9 @@ pub struct VerifyTask {
 impl VerifyTask {
     /// Parses a `verify` task object (strict: unknown fields are errors).
     pub(crate) fn from_json(task: &JsonValue, id: String, ctx: &str) -> Result<Self, SpecError> {
-        if let JsonValue::Object(map) = task {
-            for key in map.keys() {
-                if !VERIFY_TASK_KEYS.contains(&key.as_str()) {
-                    return Err(format!(
-                        "{ctx}: unknown field \"{key}\" in verify task (allowed: {})",
-                        VERIFY_TASK_KEYS.join(", ")
-                    ));
-                }
-            }
-        }
-        let algorithms = field(task, "algorithms", ctx)?
-            .as_array()
-            .ok_or_else(|| format!("{ctx}: \"algorithms\" must be an array"))?
-            .iter()
-            .map(|a| VerifyAlgorithmSpec::from_json(a, ctx))
-            .collect::<Result<Vec<_>, _>>()?;
-        let topologies = field(task, "topologies", ctx)?
-            .as_array()
-            .ok_or_else(|| format!("{ctx}: \"topologies\" must be an array"))?
-            .iter()
-            .map(|t| topology_from_json(t, ctx))
-            .collect::<Result<Vec<_>, _>>()?;
+        reject_unknown_fields(task, VERIFY_TASK_KEYS, "verify", ctx)?;
+        let algorithms = list_field(task, "algorithms", ctx, VerifyAlgorithmSpec::from_json)?;
+        let topologies = list_field(task, "topologies", ctx, topology_from_json)?;
         if algorithms.is_empty() || topologies.is_empty() {
             return Err(format!(
                 "{ctx}: algorithms and topologies must be non-empty"

@@ -2,10 +2,10 @@
 //!
 //! The workspace has two distinct parallel workloads:
 //!
-//! * **trial fan-out** — experiment sweeps run thousands of *independent*
-//!   executions (one per seed); [`parallel::par_map`] spreads them across OS
-//!   threads with an atomic work cursor (promoted here from `sa_bench` so the
-//!   simulator crates can use it too), and
+//! * **unit fan-out** — experiment sweeps run thousands of *independent*
+//!   executions (one per seed); the job scheduler in `sa_bench` spreads them
+//!   over [`parallel::thread_count`] workers and stops them through
+//!   [`parallel::CancelToken`]s, and
 //! * **intra-execution sharding** — the sharded step engine splits *one*
 //!   execution's activation set across a persistent [`pool::WorkerPool`],
 //!   whose workers stay parked between steps so a step costs a broadcast,

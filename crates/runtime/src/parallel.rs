@@ -1,18 +1,16 @@
-//! Multi-seed trial fan-out across OS threads.
+//! The batch thread budget and cooperative cancellation.
 //!
-//! The experiment sweeps repeat every configuration across many independent
-//! seeds; the trials share nothing, so they parallelize perfectly. The build
-//! environment has no access to crates.io (so no `rayon`); this module
-//! provides the one primitive the harness needs — an order-preserving parallel
-//! map — on top of `std::thread::scope`, with work distributed through an
-//! atomic cursor so uneven trial durations balance automatically.
+//! The job scheduler (`sa_bench::jobs`) owns the worker threads that run
+//! sweep units; this module supplies the two primitives it shares with the
+//! CLI: the worker budget of a batch `sa run` ([`thread_count`]) and the
+//! [`CancelToken`] that stops a unit at its next step boundary.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Number of worker threads used by [`par_map`]: the machine's available
+/// The worker budget of a batch `sa run`: the machine's available
 /// parallelism, overridable through the `SA_BENCH_THREADS` environment
-/// variable (set it to `1` to make sweeps fully sequential).
+/// variable (set it to `1` to run units one at a time).
 pub fn thread_count() -> usize {
     if let Ok(v) = std::env::var("SA_BENCH_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
@@ -24,64 +22,13 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item, in parallel, returning the results in input
-/// order.
+/// A shared cancellation flag.
 ///
-/// Work is handed out one item at a time through an atomic cursor, so long
-/// trials do not leave threads idle behind them. Falls back to a plain
-/// sequential map when only one worker is available or the input is tiny.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the whole map panics once the scope joins).
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = thread_count().min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut chunk = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return chunk;
-                        }
-                        chunk.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
-        let mut results: Vec<Option<R>> =
-            std::iter::repeat_with(|| None).take(items.len()).collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("trial worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every index visited exactly once"))
-            .collect()
-    })
-}
-
-/// A shared cancellation flag for [`par_map_cancellable`].
-///
-/// Workers consult the token between items: once cancelled, no *new* item is
-/// started (items already in flight run to completion — work units are
-/// expected to reach a safe checkpoint on their own, e.g. through the sweep
-/// runner's per-unit checkpoint policy). The token is cheap to share by
-/// reference across threads and can be triggered from inside a work item,
-/// from a signal handler thread, or from a supervising server loop.
+/// Work consults the token at safe points: the sweep runner checks it
+/// between steps and, once it fires, stops the unit with a resumable
+/// checkpoint. The token is cheap to share by reference across threads and
+/// can be triggered from inside a work item, from a signal handler thread,
+/// or from a supervising server loop.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     flag: AtomicBool,
@@ -93,7 +40,8 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation: no new work items start after this returns.
+    /// Requests cancellation; every later [`CancelToken::is_cancelled`]
+    /// returns `true`.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
@@ -104,92 +52,9 @@ impl CancelToken {
     }
 }
 
-/// Like [`par_map`], but stops handing out new items once `cancel` fires.
-///
-/// Returns one `Option<R>` per input item, in input order: `Some` for items
-/// that ran (items already started when cancellation hit still complete),
-/// `None` for items that were never started. The caller distinguishes a
-/// completed sweep (`all Some`) from an interrupted one and persists the
-/// un-run items for a later resume.
-pub fn par_map_cancellable<T, R, F>(items: &[T], cancel: &CancelToken, f: F) -> Vec<Option<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = thread_count().min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .map(|item| (!cancel.is_cancelled()).then(|| f(item)))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut chunk = Vec::new();
-                    loop {
-                        if cancel.is_cancelled() {
-                            return chunk;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return chunk;
-                        }
-                        chunk.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
-        let mut results: Vec<Option<R>> =
-            std::iter::repeat_with(|| None).take(items.len()).collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("trial worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-        results
-    })
-}
-
-/// Convenience wrapper running `f` once per seed in `0..seeds`, in parallel.
-pub fn par_seeds<R, F>(seeds: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    let seed_list: Vec<u64> = (0..seeds).collect();
-    par_map(&seed_list, |&seed| f(seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..103).collect();
-        let doubled = par_map(&items, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_handles_empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_seeds_runs_each_seed_once() {
-        let results = par_seeds(17, |seed| seed * seed);
-        assert_eq!(results.len(), 17);
-        for (seed, value) in results.iter().enumerate() {
-            assert_eq!(*value, (seed * seed) as u64);
-        }
-    }
 
     #[test]
     fn thread_count_is_positive() {
@@ -197,48 +62,14 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_map_without_cancellation_equals_par_map() {
-        let items: Vec<u64> = (0..37).collect();
+    fn cancel_token_latches_across_threads() {
         let token = CancelToken::new();
-        let results = par_map_cancellable(&items, &token, |&x| x + 1);
-        assert!(results.iter().all(Option::is_some));
-        let unwrapped: Vec<u64> = results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(unwrapped, par_map(&items, |&x| x + 1));
         assert!(!token.is_cancelled());
-    }
-
-    #[test]
-    fn cancellation_from_inside_a_work_item_skips_the_tail() {
-        let items: Vec<usize> = (0..64).collect();
-        let token = CancelToken::new();
-        let started = AtomicUsize::new(0);
-        let results = par_map_cancellable(&items, &token, |&i| {
-            let k = started.fetch_add(1, Ordering::Relaxed);
-            if k >= 5 {
-                token.cancel();
-            }
-            i * 2
+        std::thread::scope(|scope| {
+            scope.spawn(|| token.cancel());
         });
-        let done = results.iter().filter(|r| r.is_some()).count();
-        assert!(done >= 5, "at least the first items ran ({done})");
-        assert!(
-            done < items.len(),
-            "cancellation must leave some items un-run"
-        );
-        // completed items carry correct results at their original indices
-        for (i, r) in results.iter().enumerate() {
-            if let Some(v) = r {
-                assert_eq!(*v, i * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_token_runs_nothing() {
-        let items: Vec<u32> = (0..10).collect();
-        let token = CancelToken::new();
+        assert!(token.is_cancelled());
         token.cancel();
-        let results = par_map_cancellable(&items, &token, |&x| x);
-        assert!(results.iter().all(Option::is_none));
+        assert!(token.is_cancelled(), "cancelling twice keeps the token set");
     }
 }

@@ -629,7 +629,7 @@ fn handle_watch_all(daemon: &Arc<Daemon>, stream: &mut UnixStream) -> std::io::R
     send_line(stream, &ok_response(vec![]))?;
     // Subscribe before the archived catch-up so nothing falls in a gap;
     // live terminal jobs get their own synthetic catch-up from watch_all.
-    let rx = daemon.scheduler.watch_all();
+    let firehose = daemon.scheduler.watch_all();
     let archived: Vec<JobEvent> = daemon
         .archive
         .lock()
@@ -640,7 +640,7 @@ fn handle_watch_all(daemon: &Arc<Daemon>, stream: &mut UnixStream) -> std::io::R
             status: status.clone(),
         })
         .collect();
-    for event in archived.into_iter().chain(rx) {
+    for event in archived.into_iter().chain(firehose) {
         send_line(stream, &event.to_json())?;
     }
     Ok(false)

@@ -1,0 +1,66 @@
+//! `sa check` on the instant task kinds: the committed claims specs
+//! validate, and malformed `restart-exit` / `static` tasks are rejected
+//! with the offending field named.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const SA: &str = env!("CARGO_BIN_EXE_sa");
+
+fn sa_check(path: &Path) -> Output {
+    Command::new(SA)
+        .arg("check")
+        .arg(path)
+        .output()
+        .expect("run sa check")
+}
+
+#[test]
+fn committed_claims_specs_validate() {
+    let claims = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/claims");
+    let out = sa_check(&claims);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(stdout.matches(": spec \"").count(), 4, "{stdout}");
+}
+
+#[test]
+fn malformed_instant_tasks_are_invalid() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("sa-check-test-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        (
+            "unknown-field",
+            r#"{"id": "R", "kind": "restart-exit",
+                "topologies": [{"kind": "path", "n": 3}], "seed": 1}"#,
+            "unknown field \"seed\" in restart-exit task",
+        ),
+        (
+            "unknown-algorithm",
+            r#"{"id": "S", "kind": "static", "algorithms": ["le"],
+                "topologies": [{"kind": "path", "n": 3}]}"#,
+            "unknown static algorithm \"le\"",
+        ),
+        (
+            "empty-topologies",
+            r#"{"id": "S", "kind": "static", "algorithms": ["algmis"], "topologies": []}"#,
+            "topologies must be non-empty",
+        ),
+    ];
+    for (name, task, expected) in cases {
+        let path = dir.join(format!("{name}.json"));
+        fs::write(&path, format!(r#"{{"name": "{name}", "tasks": [{task}]}}"#)).unwrap();
+        let out = sa_check(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: sa check accepted it");
+        assert!(stderr.contains("INVALID"), "{name}: {stderr}");
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}

@@ -81,8 +81,8 @@ impl EngineKind {
     /// explicit engine consults this. Note that each sharded execution owns
     /// its own worker pool; forcing `SA_ENGINE=sharded` is meant for CI
     /// test runs and for dedicated large executions, not for combining with
-    /// an already-saturated trial fan-out (`par_map` across all cores plus
-    /// a default-width pool per trial oversubscribes the machine — set
+    /// an already-saturated unit fan-out (a job-scheduler worker per core
+    /// plus a default-width pool per unit oversubscribes the machine — set
     /// `SA_ENGINE_THREADS` to something small if you really want both).
     pub fn from_env() -> EngineKind {
         static CACHED: std::sync::OnceLock<EngineKind> = std::sync::OnceLock::new();

@@ -452,38 +452,6 @@ fn percentile_of_sorted(sorted: &[f64], pct: f64) -> f64 {
     }
 }
 
-/// Ordinary least squares fit of `y = a + b·x`, returning `(a, b, r²)`.
-///
-/// Used by the experiments to check claimed growth shapes, e.g. regressing measured
-/// stabilization rounds against `D³` (experiment E3) or `D·log n` (E6).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or fewer than two points.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
-    assert!(xs.len() >= 2, "need at least two points to fit a line");
-    let n = xs.len() as f64;
-    let mean_x = xs.iter().sum::<f64>() / n;
-    let mean_y = ys.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        sxx += (x - mean_x) * (x - mean_x);
-        sxy += (x - mean_x) * (y - mean_y);
-        syy += (y - mean_y) * (y - mean_y);
-    }
-    let b = if sxx == 0.0 { 0.0 } else { sxy / sxx };
-    let a = mean_y - b * mean_x;
-    let r2 = if sxx == 0.0 || syy == 0.0 {
-        1.0
-    } else {
-        (sxy * sxy) / (sxx * syy)
-    };
-    (a, b, r2)
-}
-
 /// A single row of an experiment table, serializable so the harness can persist raw
 /// results as JSON alongside the rendered table.
 #[derive(Debug, Clone, PartialEq)]
@@ -744,24 +712,6 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn summary_empty_panics() {
         Summary::of(&[]);
-    }
-
-    #[test]
-    fn linear_fit_recovers_exact_line() {
-        let xs: Vec<f64> = (0..10).map(|x| x as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
-        let (a, b, r2) = linear_fit(&xs, &ys);
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-        assert!((r2 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_fit_r2_low_for_noise_like_data() {
-        let xs = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = vec![5.0, -5.0, 5.0, -5.0, 5.0, -5.0];
-        let (_a, _b, r2) = linear_fit(&xs, &ys);
-        assert!(r2 < 0.5);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! `SA_FORCE_FULL_ORACLE=1` legs re-check the same equivalence end-to-end
 //! through the environment escape hatch.
 //!
-//! Also covered here: the sweep runner's verification windows under faults
-//! that break legitimacy *mid-window* (kill/resume must reseed the tracker's
-//! bad-set and still finish bit-identical), the violation-recording cap, and
-//! the per-node decompositions of the biological composite predicates.
+//! Also covered here: the sweep runner's phase machine against its
+//! reference, `measure_stabilization`; its verification windows under
+//! faults that break legitimacy *mid-window* (kill/resume must reseed the
+//! tracker's bad-set and still finish bit-identical); the
+//! violation-recording cap; and the per-node decompositions of the
+//! biological composite predicates.
 
 use stone_age_unison::model::checker::{
     measure_stabilization, measure_static_stabilization, violations_capped, MAX_RECORDED_VIOLATIONS,
@@ -613,4 +615,69 @@ fn sweep_window_violation_cap_is_deterministic_across_resume() {
         resumed, reference,
         "capped violations diverged after resume"
     );
+}
+
+/// The sweep's phase machine measures exactly what `measure_stabilization`
+/// does: an AlgAU unit run through `sweep::run_unit` reports the same
+/// stabilization rounds and steps, violations and verification window as
+/// the reference on the same seeded start and scheduler.
+#[test]
+fn trial_runner_matches_measure_stabilization() {
+    use sa_bench::sweep::{run_unit, CheckpointPolicy, SweepSpec, UnitOutcome};
+
+    let spec = SweepSpec::parse(
+        r#"{
+          "name": "phase-machine-reference",
+          "tasks": [{
+            "id": "PM",
+            "kind": "stabilization",
+            "topologies": [{"kind": "cycle", "n": 6}],
+            "schedulers": [{"kind": "uniform-random", "p": 0.5}, "central"],
+            "seeds": 3,
+            "max_rounds": 100000
+          }]
+        }"#,
+    )
+    .expect("spec parses");
+    let units = spec.execution_units();
+    assert_eq!(units.len(), 6, "2 schedulers × seeds 0–2");
+    let graph = Graph::cycle(6);
+    let d = graph.diameter();
+    let alg = AlgAu::new(d);
+    let palette = alg.states();
+    for unit in &units {
+        let result = match run_unit(unit, &CheckpointPolicy::default()).expect("unit runs") {
+            UnitOutcome::Complete(result) => result,
+            UnitOutcome::Interrupted(_) => unreachable!("no interrupt policy"),
+        };
+        let mut exec = ExecutionBuilder::new(&alg, &graph)
+            .seed(unit.seed)
+            .random_initial(&palette);
+        let mut sched = unit.scheduler.build();
+        let reference = measure_stabilization(
+            &mut exec,
+            &mut &mut *sched,
+            &GoodGraphOracle::new(alg),
+            &AuChecker::new(alg),
+            100_000,
+            4 * d as u64 + 8,
+        );
+        assert_eq!(
+            (
+                result.stabilization_rounds,
+                result.stabilization_steps,
+                &result.violations,
+                result.verification_rounds
+            ),
+            (
+                reference.stabilization_rounds,
+                reference.stabilization_steps,
+                &reference.violations,
+                reference.verification_rounds
+            ),
+            "unit {}",
+            unit.id()
+        );
+        assert!(reference.is_clean(), "unit {}: {reference:?}", unit.id());
+    }
 }
