@@ -46,7 +46,7 @@ use crate::sweep::{
 };
 use sa_model::explore::{
     explore, ConvergenceMode, ExploreConfig, ExploreProgress, ExploreReport, ExploreStats,
-    PropertyResult, Trace, WitnessKind, DEFAULT_COIN_TAPES, DEFAULT_MAX_STATES,
+    PropertyResult, Seeds, Trace, WitnessKind, DEFAULT_COIN_TAPES, DEFAULT_MAX_STATES,
 };
 use sa_model::graph::Graph;
 use sa_model::json::JsonValue;
@@ -379,11 +379,23 @@ impl VerifyUnit {
             coin_tapes: self.coin_tapes.unwrap_or(DEFAULT_COIN_TAPES),
             ..ExploreConfig::default()
         };
-        let mut seeds = self.seeds(family, graph.node_count(), config.max_states)?;
+        let palette = family.verify_palette();
+        let n = graph.node_count();
+        let mut reachable;
+        let seeds = match self.space {
+            SpaceMode::Full => {
+                self.check_full_space(family, n, config.max_states)?;
+                Seeds::Full(palette)
+            }
+            SpaceMode::Reachable { fault_radius } => {
+                reachable = reachable_seeds(family.benign(), palette, n, fault_radius).into_iter();
+                Seeds::Listed(&mut reachable)
+            }
+        };
         let report: ExploreReport<State<F>> = explore(
             family.algorithm(),
             graph,
-            &mut seeds,
+            seeds,
             &|g: &Graph, c: &[State<F>]| family.is_legitimate(g, c),
             family.normalizer(),
             &config,
@@ -396,7 +408,7 @@ impl VerifyUnit {
             unit_id: self.id(),
             algorithm: self.algorithm.label(),
             topology: self.topology.label(),
-            nodes: graph.node_count(),
+            nodes: n,
             diameter_bound,
             space: self.space.label(),
             convergence_mode: report.convergence_mode,
@@ -409,84 +421,71 @@ impl VerifyUnit {
         })
     }
 
-    /// The seed configurations of the unit's [`SpaceMode`] over the
-    /// family's verify palette.
-    ///
-    /// Full mode refuses families whose palette does not span their whole
-    /// space, and instances whose product space `|Q|^n` already exceeds
-    /// the state budget (the exploration would only rediscover that after
-    /// interning `budget` configurations). It yields the `|Q|^n`
-    /// configurations lazily, in lexicographic order with node 0 as the
-    /// most significant digit.
-    fn seeds<'f, F: Family>(
+    /// Refuses full mode for families whose palette does not span their
+    /// whole space, and for instances whose product space `|Q|^n` already
+    /// exceeds the state budget.
+    fn check_full_space<F: Family>(
         &self,
-        family: &'f F,
+        family: &F,
         n: usize,
         budget: usize,
-    ) -> Result<Box<dyn Iterator<Item = Vec<State<F>>> + 'f>, SpecError> {
-        let palette = family.verify_palette();
-        match self.space {
-            SpaceMode::Full => {
-                if !family.full_space() {
-                    return Err(format!(
-                        "unit {}: \"space\": \"full\" is not supported for the \
-                         composite le/mis algorithms (the synchronized product \
-                         state space is far beyond any exhaustive budget); use \
-                         \"space\": \"reachable\"",
-                        self.id()
-                    ));
-                }
-                let q = palette.len();
-                let total = (0..n).fold(1u128, |t, _| t.saturating_mul(q as u128));
-                if total > budget as u128 {
-                    return Err(format!(
-                        "unit {}: full configuration space |Q|^n = {}^{} = {} exceeds \
-                         the state budget {} — shrink the instance, raise \
-                         max_states/SA_VERIFY_MAX_STATES, or use \
-                         \"space\": \"reachable\"",
-                        self.id(),
-                        q,
-                        n,
-                        total,
-                        budget
-                    ));
-                }
-                let total = total as usize;
-                Ok(Box::new((0..total).map(move |index| {
-                    let mut place = total;
-                    (0..n)
-                        .map(|_| {
-                            place /= q;
-                            palette[index / place % q].clone()
-                        })
-                        .collect()
-                })))
-            }
-            SpaceMode::Reachable { fault_radius } => {
-                let benign = vec![family.benign(); n];
-                let mut seeds = vec![benign.clone()];
-                // Every corruption of 1..=fault_radius nodes: choose the
-                // corrupted positions in increasing order, then assign each
-                // a palette state (the benign state itself included —
-                // smaller bursts are a subset, kept anyway for clarity).
-                let mut stack: Vec<(usize, usize, Vec<State<F>>)> = vec![(0, fault_radius, benign)];
-                while let Some((from, remaining, base)) = stack.pop() {
-                    if remaining == 0 {
-                        continue;
-                    }
-                    for v in from..n {
-                        for s in palette {
-                            let mut c = base.clone();
-                            c[v] = s.clone();
-                            seeds.push(c.clone());
-                            stack.push((v + 1, remaining - 1, c));
-                        }
-                    }
-                }
-                Ok(Box::new(seeds.into_iter()))
+    ) -> Result<(), SpecError> {
+        if !family.full_space() {
+            return Err(format!(
+                "unit {}: \"space\": \"full\" is not supported for the \
+                 composite le/mis algorithms (the synchronized product \
+                 state space is far beyond any exhaustive budget); use \
+                 \"space\": \"reachable\"",
+                self.id()
+            ));
+        }
+        let q = family.verify_palette().len();
+        let total = (0..n).fold(1u128, |t, _| t.saturating_mul(q as u128));
+        if total > budget as u128 {
+            return Err(format!(
+                "unit {}: full configuration space |Q|^n = {}^{} = {} exceeds \
+                 the state budget {} — shrink the instance, raise \
+                 max_states/SA_VERIFY_MAX_STATES, or use \
+                 \"space\": \"reachable\"",
+                self.id(),
+                q,
+                n,
+                total,
+                budget
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The seeds of a reachable space: the benign configuration, then every
+/// corruption of 1..=`fault_radius` nodes with palette states.
+fn reachable_seeds<S: Clone>(
+    benign: S,
+    palette: &[S],
+    n: usize,
+    fault_radius: usize,
+) -> Vec<Vec<S>> {
+    let benign = vec![benign; n];
+    let mut seeds = vec![benign.clone()];
+    // Choose the corrupted positions in increasing order, then assign each a
+    // palette state (the benign state itself included — smaller bursts are a
+    // subset, kept anyway for clarity).
+    let mut stack: Vec<(usize, usize, Vec<S>)> = vec![(0, fault_radius, benign)];
+    while let Some((from, remaining, base)) = stack.pop() {
+        if remaining == 0 {
+            continue;
+        }
+        for v in from..n {
+            for s in palette {
+                let mut c = base.clone();
+                c[v] = s.clone();
+                seeds.push(c.clone());
+                stack.push((v + 1, remaining - 1, c));
             }
         }
     }
+    seeds
 }
 
 fn split(result: PropertyResult) -> (bool, Option<Trace>) {

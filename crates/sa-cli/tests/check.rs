@@ -1,6 +1,7 @@
 //! `sa check` on the instant task kinds: the committed claims specs
 //! validate, and malformed `restart-exit` / `static` tasks are rejected
-//! with the offending field named.
+//! with the offending field named. `sa run` exits nonzero when an instant
+//! task's row counts failures.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -61,6 +62,46 @@ fn malformed_instant_tasks_are_invalid() {
         assert!(!out.status.success(), "{name}: sa check accepted it");
         assert!(stderr.contains("INVALID"), "{name}: {stderr}");
         assert!(stderr.contains(expected), "{name}: {stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// An instant task has rows but no units, so its failures must reach the
+/// exit code through the report rows: one round is too short for AlgMIS to
+/// stabilize on `grid-4x4`, and a long enough horizon exits cleanly.
+#[test]
+fn sa_run_exits_nonzero_when_an_instant_task_row_fails() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("sa-run-exit-test-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    for (max_rounds, clean) in [(1, false), (400, true)] {
+        let name = format!("static-{max_rounds}");
+        let spec = dir.join(format!("{name}.json"));
+        fs::write(
+            &spec,
+            format!(
+                r#"{{"name": "{name}", "tasks": [{{"id": "S", "kind": "static",
+                    "algorithms": ["algmis"], "topologies": [{{"kind": "grid", "rows": 4, "cols": 4}}],
+                    "seeds": 2, "max_rounds": {max_rounds}}}]}}"#
+            ),
+        )
+        .unwrap();
+        let out = Command::new(SA)
+            .arg("run")
+            .arg(&spec)
+            .arg("--out")
+            .arg(dir.join(&name))
+            .output()
+            .expect("run sa run");
+        let report = fs::read_to_string(dir.join(&name).join("EXPERIMENTS.json")).unwrap();
+        assert_eq!(
+            out.status.success(),
+            clean,
+            "max_rounds {max_rounds}: {report}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(report.contains("\"failures\": 0"), clean, "{report}");
     }
     fs::remove_dir_all(&dir).ok();
 }

@@ -16,12 +16,37 @@
 //!
 //! # State encoding
 //!
-//! Local states are interned into a dynamically grown *palette* (a
-//! `state → u16` index, the same palette-index idea the binary checkpoint
-//! codec uses); a global configuration is `n` palette indices. Configuration
-//! `id` occupies `n` consecutive `u16`s of one flat arena, and the visited set
-//! is an open-addressed table of `u32` ids over that arena, so each
-//! configuration is stored exactly once.
+//! Local states are interned into a *palette* (a `state → u16` index, the
+//! same palette-index idea the binary checkpoint codec uses); a global
+//! configuration is `n` palette indices. The visited set holds each
+//! configuration exactly once under a dense `u32` id, in one of two stores,
+//! chosen from the seeds:
+//!
+//! - **Ranked** — a full space without a normalizer ([`Seeds::Full`]). The
+//!   palette is the full space's, and configuration `id` is its mixed-radix
+//!   rank over it, node 0 most significant: exactly the id lexicographic
+//!   seeding would assign. Nothing is stored per configuration, seeding is
+//!   an odometer that classifies every configuration, and a successor's id
+//!   is `id + Σ (t_v − C[v]) · |Q|^(n−1−v)` over the activated nodes. A
+//!   target outside the palette is an error
+//!   ([`ExploreError::OutsidePalette`]), never a wrong id.
+//! - **Hashed** — listed seeds ([`Seeds::Listed`]) and normalized full
+//!   spaces. The palette grows as states appear, configuration `id`
+//!   occupies `n` consecutive `u16`s of one flat arena, and an
+//!   open-addressed table of ids over that arena finds it again.
+//!
+//! # The transition memo
+//!
+//! A node's targets depend only on its *local view*: its own palette index
+//! and the set of palette indices in its closed neighbourhood (a [`Signal`]
+//! is a set, and each coin tape is seeded by its tape index alone). The
+//! search looks every view up in a per-exploration memo, a fixed-width
+//! open-addressed table like the hashed store's, and evaluates the
+//! transition only on a miss, so a lookup neither allocates nor hashes a
+//! state. A miss interns its targets in (node, tape) order, the order a
+//! memo-free search would first meet them, so the palette order does not
+//! depend on the memo. A randomized miss runs tape 0 first, and skips the
+//! other tapes when it drew no coin: they would return the same target.
 //!
 //! # The successor graph
 //!
@@ -36,12 +61,18 @@
 //! passes that need activations (fair-cycle search and trace reconstruction)
 //! only run on deterministic relations; randomized ones need only the ids.
 //!
-//! Budgeting is therefore simple: the search holds `2n + 37` to `2n + 45`
-//! bytes per configuration (arena `2n`, id table 8–16, legitimacy flag 1,
-//! parent id and activation 12, edge offset 8, enabled mask 8) plus 4 bytes
-//! per edge. The fair-schedule pass adds 13 to 33 bytes per configuration
-//! while it runs (Tarjan's arrays and depth-first stack, then the
-//! per-component cover).
+//! Budgeting is therefore simple. The ranked store holds 17 bytes per
+//! configuration (legitimacy flag 1, edge offset 8, enabled mask 8); the
+//! hashed store `2n + 37` to `2n + 45` (arena `2n` and id table 8–16 on
+//! top, and parent id and activation 12 for seed paths, which a ranked
+//! space, all seeds, does not need). Both add 4 bytes per edge. The memo
+//! has at most one entry per configuration and node, and in practice far
+//! fewer (13,080 views for AlgAU's 810,000 configurations on a 4-cycle);
+//! an entry costs its `2(Δ + 2)`-byte key, 8–16 bytes of table, an 8-byte
+//! bound and 2 bytes per target (a normalized space keeps the target
+//! states instead). The fair-schedule pass adds 13 to 33 bytes per
+//! configuration while it runs (Tarjan's arrays and depth-first stack, then
+//! the per-component cover).
 //!
 //! # Activation reduction
 //!
@@ -103,7 +134,7 @@ use crate::algorithm::Algorithm;
 use crate::graph::{Graph, NodeId};
 use crate::signal::Signal;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -183,6 +214,13 @@ pub enum ExploreError {
         /// The successor count that tripped the cap.
         successors: u64,
     },
+    /// A transition of a [`Seeds::Full`] space led to a local state outside
+    /// its palette, so the space is not closed and has no rank for the
+    /// successor.
+    OutsidePalette {
+        /// The offending target state, as `{:?}`.
+        state: String,
+    },
 }
 
 impl fmt::Display for ExploreError {
@@ -203,6 +241,11 @@ impl fmt::Display for ExploreError {
             ExploreError::BranchingOverflow { successors } => write!(
                 f,
                 "a single configuration has {successors} successors, over the {MAX_BRANCH} cap"
+            ),
+            ExploreError::OutsidePalette { state } => write!(
+                f,
+                "a transition leads to state {state}, outside the full space's palette \
+                 (the palette must be closed under transitions)"
             ),
         }
     }
@@ -347,7 +390,7 @@ impl PropertyResult {
 }
 
 /// The full result of an exhaustive exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport<S> {
     /// Aggregate counts.
     pub stats: ExploreStats,
@@ -377,6 +420,18 @@ impl<S: Clone> ExploreReport<S> {
     }
 }
 
+/// Where an exploration starts.
+pub enum Seeds<'a, S> {
+    /// The full product space: every configuration whose local states all
+    /// come from the palette, seeded in lexicographic order over it (node 0
+    /// most significant). Without a normalizer, configuration ids are these
+    /// mixed-radix ranks and the palette must be closed under transitions
+    /// ([`ExploreError::OutsidePalette`] otherwise).
+    Full(&'a [S]),
+    /// These configurations, in order (repeats are ignored).
+    Listed(&'a mut dyn Iterator<Item = Vec<S>>),
+}
+
 /// Explores the configuration space reachable from `seeds` and certifies
 /// closure and convergence with respect to `oracle`.
 ///
@@ -390,7 +445,7 @@ impl<S: Clone> ExploreReport<S> {
 pub fn explore<A: Algorithm>(
     alg: &A,
     graph: &Graph,
-    seeds: &mut dyn Iterator<Item = Vec<A::State>>,
+    seeds: Seeds<'_, A::State>,
     oracle: &dyn Fn(&Graph, &[A::State]) -> bool,
     normalize: Option<NormalizeFn<'_, A::State>>,
     config: &ExploreConfig,
@@ -417,7 +472,7 @@ pub fn explore<A: Algorithm>(
 
     Ok(ExploreReport {
         stats: ExploreStats {
-            states: space.store.len,
+            states: space.store.len(),
             seeds: seed_count,
             edges: space.succ_ids.len() as u64,
             legitimate,
@@ -466,19 +521,20 @@ fn deposit(mut bits: u64, mut mask: u64) -> u64 {
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// The visited set. Configuration `id`'s palette indices are
-/// `keys[id * n..(id + 1) * n]`; `slots` is a linear-probing table of ids
-/// over that arena, kept at most half full.
-struct ConfigStore {
+/// An interning table of fixed-width `u16` keys: key `id` is
+/// `keys[id * n..(id + 1) * n]`, and `slots` is a linear-probing table of
+/// ids over that arena, kept at most half full. It holds the configurations
+/// of a hashed space and the local views of the transition memo.
+struct KeyStore {
     n: usize,
     len: usize,
     keys: Vec<u16>,
     slots: Vec<u32>,
 }
 
-impl ConfigStore {
+impl KeyStore {
     fn new(n: usize) -> Self {
-        ConfigStore {
+        KeyStore {
             n,
             len: 0,
             keys: Vec::new(),
@@ -533,19 +589,190 @@ impl ConfigStore {
     }
 }
 
+/// A full product space without a normalizer: configuration `id` is its
+/// mixed-radix rank over the `q`-state palette, node 0 most significant, so
+/// nothing is stored per configuration and a successor's id is arithmetic.
+struct Ranked {
+    q: u32,
+    len: usize,
+    /// `place[v] = q^(n - 1 - v)`, the weight of node `v`'s digit.
+    place: Vec<u32>,
+}
+
+/// The visited set: ranked for a full space without a normalizer, hashed
+/// for everything else.
+enum Store {
+    Ranked(Ranked),
+    Hashed(KeyStore),
+}
+
+impl Store {
+    fn len(&self) -> usize {
+        match self {
+            Store::Ranked(ranked) => ranked.len,
+            Store::Hashed(hashed) => hashed.len,
+        }
+    }
+
+    /// Writes configuration `id`'s palette indices into `out`.
+    fn key_into(&self, id: u32, out: &mut Vec<u16>) {
+        out.clear();
+        match self {
+            Store::Ranked(ranked) => {
+                out.resize(ranked.place.len(), 0);
+                let mut rest = id;
+                for digit in out.iter_mut().rev() {
+                    *digit = (rest % ranked.q) as u16;
+                    rest /= ranked.q;
+                }
+            }
+            Store::Hashed(hashed) => out.extend_from_slice(hashed.key(id)),
+        }
+    }
+}
+
+/// Calls `f` on every configuration of `n` nodes over `palette`, in
+/// lexicographic order with node 0 most significant.
+fn for_each_product<S: Clone, E>(
+    palette: &[S],
+    n: usize,
+    mut f: impl FnMut(&[S]) -> Result<(), E>,
+) -> Result<(), E> {
+    if palette.is_empty() && n > 0 {
+        return Ok(());
+    }
+    let mut digits = vec![0usize; n];
+    let mut cfg: Vec<S> = (0..n).map(|_| palette[0].clone()).collect();
+    loop {
+        f(&cfg)?;
+        let mut v = n;
+        loop {
+            if v == 0 {
+                return Ok(());
+            }
+            v -= 1;
+            digits[v] += 1;
+            if digits[v] < palette.len() {
+                cfg[v] = palette[digits[v]].clone();
+                break;
+            }
+            digits[v] = 0;
+            cfg[v] = palette[0].clone();
+        }
+    }
+}
+
+/// Coin tape `tape` of a randomized transition: a fresh PRNG seeded by the
+/// tape index alone (the compat rand rejection-samples ranges, so tapes
+/// must be real streams). It notes whether the transition drew from it.
+struct CoinTape {
+    rng: StdRng,
+    drawn: bool,
+}
+
+impl CoinTape {
+    fn new(tape: u32) -> Self {
+        CoinTape {
+            rng: StdRng::seed_from_u64(0x5EED_0000_0000_0000u64 ^ u64::from(tape)),
+            drawn: false,
+        }
+    }
+}
+
+impl RngCore for CoinTape {
+    fn next_u32(&mut self) -> u32 {
+        self.drawn = true;
+        self.rng.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.drawn = true;
+        self.rng.next_u64()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.drawn = true;
+        self.rng.fill_bytes(dest)
+    }
+}
+
+/// The transition memo. A node's targets depend only on its *local view*:
+/// its own palette index and the set of palette indices in its closed
+/// neighbourhood, because a [`Signal`] is a set and each coin tape is
+/// seeded by its tape index alone. A view is a key of fixed width
+/// `max_degree + 2`: the own index, then the sorted distinct neighbourhood
+/// indices, padded by repeating the largest.
+struct ViewMemo<S> {
+    views: KeyStore,
+    /// View `i`'s distinct non-identity targets, in tape order, are
+    /// `target_ids` (without a normalizer) or `targets` (with one) over
+    /// `bounds[i]..bounds[i + 1]`.
+    bounds: Vec<usize>,
+    target_ids: Vec<u16>,
+    targets: Vec<S>,
+    /// Node `v`'s closed neighbourhood is `hoods[hood_at[v]..hood_at[v + 1]]`.
+    hood_at: Vec<usize>,
+    hoods: Vec<NodeId>,
+}
+
+impl<S> ViewMemo<S> {
+    fn new(graph: &Graph) -> Self {
+        let mut hood_at = vec![0];
+        let mut hoods = Vec::new();
+        let mut hood = Vec::new();
+        for v in 0..graph.node_count() {
+            graph.closed_neighborhood_into(v, &mut hood);
+            hoods.extend_from_slice(&hood);
+            hood_at.push(hoods.len());
+        }
+        ViewMemo {
+            views: KeyStore::new(graph.max_degree() + 2),
+            bounds: vec![0],
+            target_ids: Vec::new(),
+            targets: Vec::new(),
+            hood_at,
+            hoods,
+        }
+    }
+
+    fn hood(&self, v: NodeId) -> &[NodeId] {
+        &self.hoods[self.hood_at[v]..self.hood_at[v + 1]]
+    }
+
+    /// Writes node `v`'s view of configuration `cfg` into `view`.
+    fn view_into(&self, v: NodeId, cfg: &[u16], view: &mut Vec<u16>) {
+        view.clear();
+        view.push(cfg[v]);
+        view.extend(self.hood(v).iter().map(|&u| cfg[u]));
+        let set = &mut view[1..];
+        set.sort_unstable();
+        let mut distinct = 1;
+        for i in 1..set.len() {
+            if set[i] != set[distinct - 1] {
+                set[distinct] = set[i];
+                distinct += 1;
+            }
+        }
+        let largest = set[distinct - 1];
+        set[distinct..].fill(largest);
+        view.resize(self.views.n, largest);
+    }
+}
+
 /// Buffers reused from one expansion to the next.
 struct Scratch<S> {
-    hood: Vec<NodeId>,
-    /// The configuration being expanded.
+    /// The configuration being expanded, as palette indices and (with a
+    /// normalizer) as states.
+    src: Vec<u16>,
     cfg: Vec<S>,
-    /// Enabled nodes, ascending.
+    /// A node's view, and the targets of a memo miss.
+    view: Vec<u16>,
+    fresh: Vec<S>,
+    /// Enabled nodes, ascending; `nodes[j]`'s targets are the memo's over
+    /// `first[j]..first[j] + count[j]`.
     nodes: Vec<NodeId>,
-    /// `nodes[j]`'s distinct non-identity targets are
-    /// `targets[bounds[j]..bounds[j + 1]]`.
-    bounds: Vec<usize>,
-    targets: Vec<S>,
-    /// `targets` as palette indices (only without a normalizer).
-    target_ids: Vec<u16>,
+    first: Vec<usize>,
+    count: Vec<usize>,
     /// Odometer digit per enabled node.
     digits: Vec<usize>,
     /// The successor being built, as palette indices and (with a
@@ -557,12 +784,13 @@ struct Scratch<S> {
 impl<S> Scratch<S> {
     fn new() -> Self {
         Scratch {
-            hood: Vec::new(),
+            src: Vec::new(),
             cfg: Vec::new(),
+            view: Vec::new(),
+            fresh: Vec::new(),
             nodes: Vec::new(),
-            bounds: Vec::new(),
-            targets: Vec::new(),
-            target_ids: Vec::new(),
+            first: Vec::new(),
+            count: Vec::new(),
             digits: Vec::new(),
             key: Vec::new(),
             succ: Vec::new(),
@@ -580,14 +808,19 @@ struct Space<'a, A: Algorithm> {
     oracle: &'a dyn Fn(&Graph, &[A::State]) -> bool,
     normalize: Option<NormalizeFn<'a, A::State>>,
     deterministic: bool,
-    coin_tapes: u32,
+    /// Coin tapes per evaluation: 1 for a deterministic relation.
+    tapes: u32,
     max_states: usize,
     n: usize,
     full_mask: u64,
     palette: Vec<A::State>,
     palette_index: HashMap<A::State, u16>,
-    store: ConfigStore,
+    store: Store,
+    memo: ViewMemo<A::State>,
     legit: Vec<bool>,
+    /// Parent id and activation of each configuration a step discovered
+    /// (`NO_PARENT` for seeds; empty for a ranked store, which is all
+    /// seeds).
     parent: Vec<u32>,
     parent_act: Vec<u64>,
     /// Enabled-node mask per expanded configuration.
@@ -611,19 +844,25 @@ impl<'a, A: Algorithm> Space<'a, A> {
         if n > MAX_NODES {
             return Err(ExploreError::TooManyNodes { nodes: n });
         }
+        let deterministic = alg.transition_is_deterministic();
         Ok(Space {
             alg,
             graph,
             oracle,
             normalize,
-            deterministic: alg.transition_is_deterministic(),
-            coin_tapes: config.coin_tapes.max(1),
+            deterministic,
+            tapes: if deterministic {
+                1
+            } else {
+                config.coin_tapes.max(1)
+            },
             max_states: config.max_states,
             n,
             full_mask: full_mask(n),
             palette: Vec::new(),
             palette_index: HashMap::new(),
-            store: ConfigStore::new(n),
+            store: Store::Hashed(KeyStore::new(n)),
+            memo: ViewMemo::new(graph),
             legit: Vec::new(),
             parent: Vec::new(),
             parent_act: Vec::new(),
@@ -633,36 +872,53 @@ impl<'a, A: Algorithm> Space<'a, A> {
         })
     }
 
-    /// Interns the seeds, then expands every configuration breadth-first,
+    /// Seeds the space, then expands every configuration breadth-first,
     /// recording the successor graph. Returns the number of distinct seeds
     /// and the first closure violation met.
     fn build(
         &mut self,
-        seeds: &mut dyn Iterator<Item = Vec<A::State>>,
+        seeds: Seeds<'_, A::State>,
         config: &ExploreConfig,
         progress: &mut dyn FnMut(ExploreProgress),
     ) -> Result<(usize, Option<ClosureViolation>), ExploreError> {
         let mut scratch = Scratch::new();
-        let mut seed_count = 0usize;
-        for mut seed in seeds {
-            debug_assert_eq!(seed.len(), self.n, "seed configuration has wrong length");
-            let (_, fresh) = self.intern_states(&mut seed, &mut scratch.key)?;
-            if fresh {
-                seed_count += 1;
+        let seed_count = match seeds {
+            Seeds::Full(palette) if self.normalize.is_none() => self.seed_ranked(palette)?,
+            Seeds::Full(palette) => {
+                let mut count = 0;
+                for_each_product(palette, self.n, |cfg| {
+                    scratch.succ.clear();
+                    scratch.succ.extend_from_slice(cfg);
+                    if self.intern_states(&mut scratch.succ, &mut scratch.key)?.1 {
+                        count += 1;
+                    }
+                    Ok(())
+                })?;
+                count
             }
-        }
+            Seeds::Listed(seeds) => {
+                let mut count = 0;
+                for mut seed in seeds {
+                    debug_assert_eq!(seed.len(), self.n, "seed configuration has wrong length");
+                    if self.intern_states(&mut seed, &mut scratch.key)?.1 {
+                        count += 1;
+                    }
+                }
+                count
+            }
+        };
 
         // Processing ids in discovery order *is* the FIFO order, so parent
         // chains are shortest-path (in steps) from some seed.
         let mut closure_violation = None;
         let mut id = 0u32;
-        while (id as usize) < self.store.len {
+        while (id as usize) < self.store.len() {
             self.expand(id, &mut scratch, &mut closure_violation)?;
             id += 1;
             let expanded = id as usize;
             if config.progress_stride != 0 && expanded.is_multiple_of(config.progress_stride) {
                 progress(ExploreProgress {
-                    states: self.store.len,
+                    states: self.store.len(),
                     expanded,
                     edges: self.succ_ids.len() as u64,
                 });
@@ -671,9 +927,53 @@ impl<'a, A: Algorithm> Space<'a, A> {
         Ok((seed_count, closure_violation))
     }
 
+    /// Makes the store the ranked full space over `palette` and classifies
+    /// every configuration, in rank order; returns the configuration count.
+    /// Lexicographic seeding would intern the palette in its own order and
+    /// give every configuration its rank as id, so the ids, the palette and
+    /// the report are the hashed store's.
+    fn seed_ranked(&mut self, palette: &[A::State]) -> Result<usize, ExploreError> {
+        for s in palette {
+            self.intern_state(s)?;
+        }
+        let states = self.palette.clone();
+        let q = states.len();
+        let len = (0..self.n)
+            .try_fold(1usize, |len, _| len.checked_mul(q))
+            .filter(|&len| len <= self.max_states.min(EMPTY_SLOT as usize))
+            .ok_or(ExploreError::BudgetExceeded {
+                budget: self.max_states,
+            })?;
+        let mut place = vec![1u32; self.n];
+        for v in (1..self.n).rev() {
+            place[v - 1] = place[v] * q as u32;
+        }
+        self.store = Store::Ranked(Ranked {
+            q: q as u32,
+            len,
+            place,
+        });
+        self.legit.reserve_exact(len);
+        self.enabled.reserve_exact(len);
+        self.succ_offsets.reserve_exact(len);
+        let (oracle, graph, legit) = (self.oracle, self.graph, &mut self.legit);
+        for_each_product(&states, self.n, |cfg| {
+            legit.push(oracle(graph, cfg));
+            Ok::<(), ExploreError>(())
+        })?;
+        Ok(len)
+    }
+
+    /// The palette index of `s`, interning it if new. A ranked store's
+    /// palette is closed: a new state there is an error.
     fn intern_state(&mut self, s: &A::State) -> Result<u16, ExploreError> {
         if let Some(&i) = self.palette_index.get(s) {
             return Ok(i);
+        }
+        if matches!(self.store, Store::Ranked(_)) {
+            return Err(ExploreError::OutsidePalette {
+                state: format!("{s:?}"),
+            });
         }
         if self.palette.len() > u16::MAX as usize {
             return Err(ExploreError::PaletteOverflow);
@@ -701,26 +1001,29 @@ impl<'a, A: Algorithm> Space<'a, A> {
         self.intern_key(key, Some(cfg))
     }
 
-    /// Interns the configuration `key` and, when it is fresh, classifies it
-    /// (`cfg` is its decoded form, if the caller has it); returns
-    /// `(id, freshly_interned)`.
+    /// Interns the configuration `key` into the hashed store and, when it is
+    /// fresh, classifies it (`cfg` is its decoded form, if the caller has
+    /// it); returns `(id, freshly_interned)`.
     fn intern_key(
         &mut self,
         key: &[u16],
         cfg: Option<&[A::State]>,
     ) -> Result<(u32, bool), ExploreError> {
-        let slot = match self.store.find(key) {
+        let Store::Hashed(store) = &mut self.store else {
+            unreachable!("a ranked store holds every configuration from the start")
+        };
+        let slot = match store.find(key) {
             Ok(id) => return Ok((id, false)),
             Err(slot) => slot,
         };
         // Ids are `u32`s below the `EMPTY_SLOT`/`NO_PARENT` sentinel,
         // whatever budget the spec asks for.
-        if self.store.len >= self.max_states.min(EMPTY_SLOT as usize) {
+        if store.len >= self.max_states.min(EMPTY_SLOT as usize) {
             return Err(ExploreError::BudgetExceeded {
                 budget: self.max_states,
             });
         }
-        let id = self.store.insert(slot, key);
+        let id = store.insert(slot, key);
         let legit = match cfg {
             Some(cfg) => (self.oracle)(self.graph, cfg),
             None => (self.oracle)(self.graph, &self.decode(id)),
@@ -732,15 +1035,16 @@ impl<'a, A: Algorithm> Space<'a, A> {
     }
 
     fn decode(&self, id: u32) -> Vec<A::State> {
-        self.store
-            .key(id)
+        self.config(id)
             .iter()
             .map(|&i| self.palette[i as usize].clone())
             .collect()
     }
 
     fn config(&self, id: u32) -> Vec<u16> {
-        self.store.key(id).to_vec()
+        let mut key = Vec::with_capacity(self.n);
+        self.store.key_into(id, &mut key);
+        key
     }
 
     /// The successor ids of configuration `id`.
@@ -758,79 +1062,91 @@ impl<'a, A: Algorithm> Space<'a, A> {
         deposit(j as u64 + 1, self.enabled[id as usize])
     }
 
-    /// Evaluates every node's transition at `x.cfg`: fills `x.nodes`,
-    /// `x.bounds` and `x.targets` with the enabled nodes and their distinct
-    /// non-identity targets.
-    fn evaluate(&self, x: &mut Scratch<A::State>) {
-        x.nodes.clear();
-        x.bounds.clear();
-        x.bounds.push(0);
-        x.targets.clear();
-        let tapes = if self.deterministic {
-            1
-        } else {
-            self.coin_tapes
+    /// The memo entry of node `v`'s view of configuration `src`. A miss
+    /// evaluates the transition on every coin tape, skipping the tapes after
+    /// the first when it drew no coin (they would return the same target),
+    /// and interns the distinct non-identity targets in tape order.
+    fn view_entry(
+        &mut self,
+        v: NodeId,
+        src: &[u16],
+        view: &mut Vec<u16>,
+        fresh: &mut Vec<A::State>,
+    ) -> Result<u32, ExploreError> {
+        self.memo.view_into(v, src, view);
+        let slot = match self.memo.views.find(view) {
+            Ok(entry) => return Ok(entry),
+            Err(slot) => slot,
         };
-        for v in 0..self.n {
-            self.graph.closed_neighborhood_into(v, &mut x.hood);
-            let signal = Signal::from_states(x.hood.iter().map(|&u| x.cfg[u].clone()));
-            let start = x.targets.len();
-            for tape in 0..tapes {
-                // A fresh seeded PRNG per (node, tape): the compat rand
-                // rejection-samples ranges, so tapes must be real streams.
-                let mut rng = StdRng::seed_from_u64(0x5EED_0000_0000_0000u64 ^ u64::from(tape));
-                let t = self.alg.transition(&x.cfg[v], &signal, &mut rng);
-                if t != x.cfg[v] && !x.targets[start..].contains(&t) {
-                    x.targets.push(t);
-                }
+        let own = &self.palette[src[v] as usize];
+        let signal = Signal::from_states(
+            self.memo
+                .hood(v)
+                .iter()
+                .map(|&u| self.palette[src[u] as usize].clone()),
+        );
+        fresh.clear();
+        for tape in 0..self.tapes {
+            let mut coins = CoinTape::new(tape);
+            let t = self.alg.transition(own, &signal, &mut coins);
+            if t != *own && !fresh.contains(&t) {
+                fresh.push(t);
             }
-            if x.targets.len() > start {
-                x.nodes.push(v);
-                x.bounds.push(x.targets.len());
+            if !coins.drawn {
+                break;
             }
         }
+        if self.normalize.is_none() {
+            for t in fresh.iter() {
+                let i = self.intern_state(t)?;
+                self.memo.target_ids.push(i);
+            }
+        } else {
+            self.memo.targets.append(fresh);
+        }
+        let end = self.memo.target_ids.len() + self.memo.targets.len();
+        self.memo.bounds.push(end);
+        Ok(self.memo.views.insert(slot, view))
     }
 
-    /// Expands configuration `id`: evaluates its transitions once, then
-    /// interns every successor under the activation reduction, one per
+    /// Expands configuration `id`: looks up every node's targets once, then
+    /// records every successor under the activation reduction, one per
     /// non-empty `(activation ⊆ enabled, target choice)` combination in
-    /// odometer order (nodes ascending, inactive digit first), and records
-    /// the edges.
+    /// odometer order (nodes ascending, inactive digit first).
     fn expand(
         &mut self,
         id: u32,
         x: &mut Scratch<A::State>,
         closure_violation: &mut Option<ClosureViolation>,
     ) -> Result<(), ExploreError> {
-        x.cfg.clear();
-        x.cfg.extend(
-            self.store
-                .key(id)
-                .iter()
-                .map(|&i| self.palette[i as usize].clone()),
-        );
-        self.evaluate(x);
-        let k = x.nodes.len();
+        self.store.key_into(id, &mut x.src);
+        x.nodes.clear();
+        x.first.clear();
+        x.count.clear();
         let mut total = 1u64;
-        for w in x.bounds.windows(2) {
-            total = total.saturating_mul((w[1] - w[0]) as u64 + 1);
-            if total > MAX_BRANCH {
-                return Err(ExploreError::BranchingOverflow { successors: total });
-            }
-        }
-        // Without a normalizer the targets are interned up front (in the
-        // order the successors would first show them), and successors are
-        // built in index space.
-        x.target_ids.clear();
-        if self.normalize.is_none() {
-            for t in &x.targets {
-                x.target_ids.push(self.intern_state(t)?);
+        for v in 0..self.n {
+            let entry = self.view_entry(v, &x.src, &mut x.view, &mut x.fresh)? as usize;
+            let (first, end) = (self.memo.bounds[entry], self.memo.bounds[entry + 1]);
+            if end > first {
+                total = total.saturating_mul((end - first) as u64 + 1);
+                if total > MAX_BRANCH {
+                    return Err(ExploreError::BranchingOverflow { successors: total });
+                }
+                x.nodes.push(v);
+                x.first.push(first);
+                x.count.push(end - first);
             }
         }
         self.enabled
             .push(x.nodes.iter().fold(0u64, |mask, &v| mask | (1u64 << v)));
+        if self.normalize.is_some() {
+            x.cfg.clear();
+            x.cfg
+                .extend(x.src.iter().map(|&i| self.palette[i as usize].clone()));
+        }
 
         let src_legit = self.legit[id as usize];
+        let k = x.nodes.len();
         x.digits.clear();
         x.digits.resize(k, 0);
         'combinations: loop {
@@ -840,34 +1156,52 @@ impl<'a, A: Algorithm> Space<'a, A> {
                     break 'combinations;
                 }
                 x.digits[pos] += 1;
-                if x.digits[pos] <= x.bounds[pos + 1] - x.bounds[pos] {
+                if x.digits[pos] <= x.count[pos] {
                     break;
                 }
                 x.digits[pos] = 0;
                 pos += 1;
             }
             let mut act = 0u64;
-            let (sid, fresh) = if self.normalize.is_none() {
-                x.key.clear();
-                x.key.extend_from_slice(self.store.key(id));
-                for (j, &d) in x.digits.iter().enumerate() {
-                    if d != 0 {
-                        let v = x.nodes[j];
-                        act |= 1u64 << v;
-                        x.key[v] = x.target_ids[x.bounds[j] + d - 1];
+            let (sid, fresh) = match (&self.store, self.normalize) {
+                (Store::Ranked(ranked), _) => {
+                    // Ids are ranks: replacing digit `src[v]` by `t` moves
+                    // the id by `(t - src[v]) * place[v]`. The sum lands in
+                    // `0..len`, so wrapping `u32` arithmetic is exact.
+                    let mut sid = id;
+                    for (j, &d) in x.digits.iter().enumerate() {
+                        if d != 0 {
+                            let v = x.nodes[j];
+                            act |= 1u64 << v;
+                            let t = self.memo.target_ids[x.first[j] + d - 1];
+                            let delta = u32::from(t).wrapping_sub(u32::from(x.src[v]));
+                            sid = sid.wrapping_add(delta.wrapping_mul(ranked.place[v]));
+                        }
                     }
+                    (sid, false)
                 }
-                self.intern_key(&x.key, None)?
-            } else {
-                x.succ.clone_from(&x.cfg);
-                for (j, &d) in x.digits.iter().enumerate() {
-                    if d != 0 {
-                        let v = x.nodes[j];
-                        act |= 1u64 << v;
-                        x.succ[v] = x.targets[x.bounds[j] + d - 1].clone();
+                (Store::Hashed(_), None) => {
+                    x.key.clone_from(&x.src);
+                    for (j, &d) in x.digits.iter().enumerate() {
+                        if d != 0 {
+                            let v = x.nodes[j];
+                            act |= 1u64 << v;
+                            x.key[v] = self.memo.target_ids[x.first[j] + d - 1];
+                        }
                     }
+                    self.intern_key(&x.key, None)?
                 }
-                self.intern_states(&mut x.succ, &mut x.key)?
+                (Store::Hashed(_), Some(_)) => {
+                    x.succ.clone_from(&x.cfg);
+                    for (j, &d) in x.digits.iter().enumerate() {
+                        if d != 0 {
+                            let v = x.nodes[j];
+                            act |= 1u64 << v;
+                            x.succ[v] = self.memo.targets[x.first[j] + d - 1].clone();
+                        }
+                    }
+                    self.intern_states(&mut x.succ, &mut x.key)?
+                }
             };
             self.succ_ids.push(sid);
             if fresh {
@@ -885,11 +1219,17 @@ impl<'a, A: Algorithm> Space<'a, A> {
     /// The parent-pointer chain from a seed to `id`, as trace steps.
     /// Returns `(start configuration, steps ending at id)`.
     fn seed_path(&self, id: u32) -> (Vec<u16>, Vec<TraceStep>) {
+        let parent_of = |id: u32| {
+            self.parent
+                .get(id as usize)
+                .copied()
+                .filter(|&p| p != NO_PARENT)
+        };
         let mut chain = Vec::new();
         let mut cur = id;
-        while self.parent[cur as usize] != NO_PARENT {
+        while let Some(parent) = parent_of(cur) {
             chain.push(cur);
-            cur = self.parent[cur as usize];
+            cur = parent;
         }
         chain.reverse();
         let start = self.config(cur);
@@ -935,7 +1275,7 @@ impl<'a, A: Algorithm> Space<'a, A> {
         let mut cover = vec![0u64; comp_count];
         let mut size = vec![0u32; comp_count];
         let mut min_state = vec![u32::MAX; comp_count];
-        for id in 0..self.store.len as u32 {
+        for id in 0..self.store.len() as u32 {
             let c = comp[id as usize];
             if c == u32::MAX {
                 continue;
@@ -984,7 +1324,7 @@ impl<'a, A: Algorithm> Space<'a, A> {
     /// legitimate ones) and the component count.
     fn tarjan_illegitimate(&self) -> (Vec<u32>, usize) {
         const UNVISITED: u32 = u32::MAX;
-        let states = self.store.len;
+        let states = self.store.len();
         let mut index = vec![UNVISITED; states];
         let mut low = vec![0u32; states];
         let mut comp = vec![u32::MAX; states];
@@ -1205,7 +1545,7 @@ impl<'a, A: Algorithm> Space<'a, A> {
     /// Reachability-only convergence (randomized relations): every explored
     /// configuration must have some path to the legitimate set.
     fn reachability_convergence(&self) -> PropertyResult {
-        let states = self.store.len;
+        let states = self.store.len();
         let mut reach = self.legit.clone();
         loop {
             let mut changed = false;
@@ -1245,6 +1585,7 @@ impl<'a, A: Algorithm> Space<'a, A> {
 mod tests {
     use super::*;
     use crate::algorithm::StateSpace;
+    use std::collections::BTreeMap;
 
     /// Deterministic toy: each node copies the minimum sensed state; the
     /// legitimate set is "all states equal".
@@ -1307,7 +1648,7 @@ mod tests {
         let report = explore(
             &alg,
             &graph,
-            &mut all_configs(3, 3).into_iter(),
+            Seeds::Listed(&mut all_configs(3, 3).into_iter()),
             &uniform,
             None,
             &ExploreConfig::default(),
@@ -1356,7 +1697,7 @@ mod tests {
         let report = explore(
             &alg,
             &graph,
-            &mut all_configs(3, 2).into_iter(),
+            Seeds::Listed(&mut all_configs(3, 2).into_iter()),
             &|_, cfg: &[u8]| cfg.iter().all(|&v| v != 2),
             None,
             &ExploreConfig::default(),
@@ -1412,7 +1753,7 @@ mod tests {
         let report = explore(
             &alg,
             &graph,
-            &mut all_configs(2, 2).into_iter(),
+            Seeds::Listed(&mut all_configs(2, 2).into_iter()),
             &|_, _: &[u8]| false,
             None,
             &ExploreConfig::default(),
@@ -1451,53 +1792,194 @@ mod tests {
             max_states: 10,
             ..ExploreConfig::default()
         };
+        // A listed space trips while interning; a full one (27
+        // configurations) before seeding.
+        let mut listed = all_configs(3, 3).into_iter();
+        for seeds in [Seeds::Listed(&mut listed), Seeds::Full(&[0, 1, 2])] {
+            let err = explore(&alg, &graph, seeds, &uniform, None, &config, &mut |_| {})
+                .expect_err("budget must trip");
+            assert_eq!(err, ExploreError::BudgetExceeded { budget: 10 });
+        }
+    }
+
+    /// Explores the full space over `0..values` twice: ranked
+    /// (`Seeds::Full`) and hashed (`Seeds::Listed` in lexicographic order).
+    fn ranked_and_hashed<A: Algorithm<State = u8>>(
+        alg: &A,
+        graph: &Graph,
+        values: u8,
+        oracle: &dyn Fn(&Graph, &[u8]) -> bool,
+    ) -> [ExploreReport<u8>; 2] {
+        let palette: Vec<u8> = (0..values).collect();
+        let mut listed = all_configs(values, graph.node_count()).into_iter();
+        [Seeds::Full(&palette), Seeds::Listed(&mut listed)].map(|seeds| {
+            explore(
+                alg,
+                graph,
+                seeds,
+                oracle,
+                None,
+                &ExploreConfig::default(),
+                &mut |_| {},
+            )
+            .expect("explore")
+        })
+    }
+
+    #[test]
+    fn ranked_and_hashed_stores_give_equal_reports() {
+        let no_two = |_: &Graph, cfg: &[u8]| cfg.iter().all(|&v| v != 2);
+        let nothing = |_: &Graph, _: &[u8]| false;
+        let reports = [
+            ranked_and_hashed(&MinConsensus { values: 3 }, &Graph::path(3), 3, &uniform),
+            ranked_and_hashed(&MaxConsensus, &Graph::path(2), 3, &no_two),
+            ranked_and_hashed(&Toggle, &Graph::path(2), 2, &nothing),
+            ranked_and_hashed(&CoinConsensus, &Graph::path(3), 2, &uniform),
+            ranked_and_hashed(&CoinDrift, &Graph::cycle(4), 4, &uniform),
+        ];
+        for [ranked, hashed] in &reports {
+            assert_eq!(ranked, hashed);
+        }
+        let kinds: Vec<_> = reports
+            .iter()
+            .map(|[r, _]| r.convergence.trace().map(|t| t.kind))
+            .collect();
+        assert_eq!(
+            kinds[..3],
+            [
+                None,
+                Some(ViolationKind::Deadlock),
+                Some(ViolationKind::FairCycle)
+            ]
+        );
+    }
+
+    /// Deterministic toy that counts up, so it leaves any finite palette.
+    struct CountUp;
+
+    impl Algorithm for CountUp {
+        type State = u8;
+        type Output = u8;
+
+        fn output(&self, state: &u8) -> Option<u8> {
+            Some(*state)
+        }
+
+        fn transition(&self, state: &u8, _signal: &Signal<u8>, _rng: &mut dyn rand::RngCore) -> u8 {
+            state.saturating_add(1)
+        }
+
+        fn transition_is_deterministic(&self) -> bool {
+            true
+        }
+
+        fn name(&self) -> &'static str {
+            "count-up"
+        }
+    }
+
+    #[test]
+    fn full_space_rejects_a_target_outside_its_palette() {
         let err = explore(
-            &alg,
-            &graph,
-            &mut all_configs(3, 3).into_iter(),
+            &CountUp,
+            &Graph::path(2),
+            Seeds::Full(&[0, 1]),
             &uniform,
             None,
-            &config,
+            &ExploreConfig::default(),
             &mut |_| {},
         )
-        .expect_err("budget must trip");
-        assert_eq!(err, ExploreError::BudgetExceeded { budget: 10 });
+        .expect_err("2 is outside the palette");
+        assert_eq!(
+            err,
+            ExploreError::OutsidePalette {
+                state: "2".to_string()
+            }
+        );
+    }
+
+    /// Node `v`'s distinct non-identity targets at `cfg`, evaluated directly
+    /// on each of `tapes` coin tapes, in tape order.
+    fn direct_targets<A: Algorithm<State = u8>>(
+        alg: &A,
+        graph: &Graph,
+        cfg: &[u8],
+        v: NodeId,
+        tapes: u32,
+    ) -> Vec<u8> {
+        let hood = graph.inclusive_neighbors(v);
+        let signal = Signal::from_states(hood.iter().map(|&u| cfg[u]));
+        let mut targets = Vec::new();
+        for tape in 0..tapes {
+            let mut rng = StdRng::seed_from_u64(0x5EED_0000_0000_0000u64 ^ u64::from(tape));
+            let t = alg.transition(&cfg[v], &signal, &mut rng);
+            if t != cfg[v] && !targets.contains(&t) {
+                targets.push(t);
+            }
+        }
+        targets
     }
 
     /// Builds the successor graph of every configuration over `values`
-    /// local states and checks each stored edge: the activation decoded from
-    /// the edge ordinal, applied to the source through
-    /// [`Algorithm::transition`], must give the stored successor.
+    /// local states and checks it against direct evaluation on all coin
+    /// tapes: the memo's target set of every (configuration, node) view, the
+    /// enabled mask, and every stored edge, in odometer order (in a
+    /// deterministic relation also the activation decoded from the edge
+    /// ordinal).
     fn assert_edges_replay<A: Algorithm<State = u8>>(alg: &A, graph: &Graph, values: u8) {
         let config = ExploreConfig::default();
+        let palette: Vec<u8> = (0..values).collect();
         let mut space = Space::new(alg, graph, &uniform, None, &config).expect("space");
         space
-            .build(
-                &mut all_configs(values, graph.node_count()).into_iter(),
-                &config,
-                &mut |_| {},
-            )
+            .build(Seeds::Full(&palette), &config, &mut |_| {})
             .expect("build");
-        assert!(space.deterministic);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut hood = Vec::new();
+        let n = graph.node_count();
+        let tapes = if space.deterministic {
+            1
+        } else {
+            config.coin_tapes
+        };
+        let mut view = Vec::new();
         let mut edges = 0;
-        for id in 0..space.store.len as u32 {
+        for id in 0..space.store.len() as u32 {
             let cfg = space.decode(id);
-            let enabled = space.enabled[id as usize];
+            let src = space.config(id);
+            let targets: Vec<Vec<u8>> = (0..n)
+                .map(|v| direct_targets(alg, graph, &cfg, v, tapes))
+                .collect();
+            for (v, direct) in targets.iter().enumerate() {
+                space.memo.view_into(v, &src, &mut view);
+                let entry = space.memo.views.find(&view).expect("view memoized") as usize;
+                let stored: Vec<u8> = space.memo.target_ids
+                    [space.memo.bounds[entry]..space.memo.bounds[entry + 1]]
+                    .iter()
+                    .map(|&i| space.palette[i as usize])
+                    .collect();
+                assert_eq!(&stored, direct, "node {v} of configuration #{id}");
+            }
+            let enabled: Vec<NodeId> = (0..n).filter(|&v| !targets[v].is_empty()).collect();
+            assert_eq!(mask_nodes(space.enabled[id as usize]), enabled);
+            // Combination `c` is a mixed-radix number over the enabled
+            // nodes, the lowest one least significant.
+            let radix: Vec<usize> = enabled.iter().map(|&v| targets[v].len() + 1).collect();
+            let combinations: usize = radix.iter().product();
             let succs = space.succs(id);
-            assert_eq!(succs.len() as u64, (1u64 << enabled.count_ones()) - 1);
+            assert_eq!(succs.len(), combinations - 1, "configuration #{id}");
             for (j, &sid) in succs.iter().enumerate() {
-                let act = space.activation(id, j);
-                assert!(act != 0 && act & !enabled == 0, "edge {j} of #{id}");
+                let mut rest = j + 1;
                 let mut next = cfg.clone();
-                for v in mask_nodes(act) {
-                    graph.closed_neighborhood_into(v, &mut hood);
-                    let signal = Signal::from_states(hood.iter().map(|&u| cfg[u]));
-                    next[v] = alg.transition(&cfg[v], &signal, &mut rng);
-                    assert_ne!(next[v], cfg[v], "activated node {v} of #{id} is enabled");
+                let mut act = 0u64;
+                for (&v, &r) in enabled.iter().zip(&radix) {
+                    if rest % r != 0 {
+                        next[v] = targets[v][rest % r - 1];
+                        act |= 1 << v;
+                    }
+                    rest /= r;
                 }
                 assert_eq!(space.decode(sid), next, "edge {j} of configuration #{id}");
+                if space.deterministic {
+                    assert_eq!(space.activation(id, j), act, "edge {j} of #{id}");
+                }
                 edges += 1;
             }
         }
@@ -1510,6 +1992,87 @@ mod tests {
         assert_edges_replay(&MinConsensus { values: 3 }, &Graph::path(3), 3);
         assert_edges_replay(&MaxConsensus, &Graph::cycle(4), 3);
         assert_edges_replay(&Toggle, &Graph::path(3), 2);
+        // Randomized relations, through the memo and the tape skip.
+        assert_edges_replay(&CoinConsensus, &Graph::cycle(3), 2);
+        assert_edges_replay(&CoinDrift, &Graph::path(3), 4);
+        assert_edges_replay(&CoinDrift, &Graph::cycle(4), 4);
+        // CoinDrift exercises both branches of the tape skip.
+        let (mut drew, mut skipped) = (false, false);
+        for cfg in all_configs(4, 3) {
+            for v in 0..3 {
+                let hood = Graph::path(3).inclusive_neighbors(v);
+                let signal = Signal::from_states(hood.iter().map(|&u| cfg[u]));
+                let mut coins = CoinTape::new(0);
+                CoinDrift.transition(&cfg[v], &signal, &mut coins);
+                drew |= coins.drawn;
+                skipped |= !coins.drawn;
+            }
+        }
+        assert!(drew && skipped);
+    }
+
+    /// Randomized toy over `0..4` that draws a coin in some views only. A
+    /// node alone in its state, or holding the largest sensed state, acts
+    /// without a coin (it keeps its state, or drops to the smallest sensed
+    /// one). Any other node draws among stepping up, jumping to the largest
+    /// sensed state and staying.
+    struct CoinDrift;
+
+    impl Algorithm for CoinDrift {
+        type State = u8;
+        type Output = u8;
+
+        fn output(&self, state: &u8) -> Option<u8> {
+            Some(*state)
+        }
+
+        fn transition(&self, state: &u8, signal: &Signal<u8>, rng: &mut dyn rand::RngCore) -> u8 {
+            let (min, max) = (*signal.min_state().unwrap(), *signal.max_state().unwrap());
+            if min == max {
+                *state
+            } else if *state == max {
+                min
+            } else {
+                match rng.next_u32() % 3 {
+                    0 => (*state + 1).min(3),
+                    1 => max,
+                    _ => *state,
+                }
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "coin-drift"
+        }
+    }
+
+    /// Coin tapes are seeded by tape index alone, so the sampled relation
+    /// commutes with graph automorphisms: on a cycle, the successors of a
+    /// rotated configuration are the rotated successors.
+    #[test]
+    fn sampled_relations_commute_with_rotations() {
+        let graph = Graph::cycle(4);
+        let configs = all_configs(4, 4);
+        let report_space = |seeds: Seeds<'_, u8>| {
+            let config = ExploreConfig::default();
+            let mut space = Space::new(&CoinDrift, &graph, &uniform, None, &config).unwrap();
+            space.build(seeds, &config, &mut |_| {}).unwrap();
+            (0..space.store.len() as u32)
+                .map(|id| {
+                    let mut succs: Vec<Vec<u8>> =
+                        space.succs(id).iter().map(|&s| space.decode(s)).collect();
+                    succs.sort();
+                    (space.decode(id), succs)
+                })
+                .collect::<BTreeMap<_, _>>()
+        };
+        let successors = report_space(Seeds::Listed(&mut configs.clone().into_iter()));
+        let rotate = |c: &[u8]| -> Vec<u8> { (0..4).map(|v| c[(v + 3) % 4]).collect() };
+        for cfg in &configs {
+            let mut rotated: Vec<Vec<u8>> = successors[cfg].iter().map(|s| rotate(s)).collect();
+            rotated.sort();
+            assert_eq!(successors[&rotate(cfg)], rotated, "configuration {cfg:?}");
+        }
     }
 
     /// Randomized toy: a node that senses disagreement redraws its bit from
@@ -1542,7 +2105,7 @@ mod tests {
         let report = explore(
             &CoinConsensus,
             &Graph::path(3),
-            &mut all_configs(2, 3).into_iter(),
+            Seeds::Listed(&mut all_configs(2, 3).into_iter()),
             &uniform,
             None,
             &ExploreConfig::default(),
@@ -1565,7 +2128,7 @@ mod tests {
         let report = explore(
             &CoinConsensus,
             &Graph::path(2),
-            &mut std::iter::once(vec![0, 1]),
+            Seeds::Listed(&mut std::iter::once(vec![0, 1])),
             &|_, cfg: &[u8]| cfg.iter().all(|&v| v == 1),
             None,
             &ExploreConfig::default(),

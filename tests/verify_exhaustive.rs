@@ -14,11 +14,13 @@ use sa_bench::sweep::SweepSpec;
 use sa_bench::verify::{
     render_verify_json, render_verify_markdown, trace_json, trace_transcript, verify_units,
 };
-use sa_model::explore::{explore, ExploreConfig, ViolationKind};
+use sa_model::algorithm::LegitimacyOracle;
+use sa_model::explore::{explore, ExploreConfig, ExploreReport, Seeds, ViolationKind};
 use sa_model::{Execution, Graph, StateSpace};
 use std::collections::BTreeMap;
 use std::path::Path;
 use unison_core::baseline::{reset_attempt_legitimate, ResetAttempt, ResetTurn};
+use unison_core::{AlgAu, GoodGraphOracle};
 
 fn verify_spec(text: &str) -> SweepSpec {
     SweepSpec::parse(text).expect("spec parses")
@@ -78,24 +80,10 @@ fn min_plus_one_certifies_under_min_quotient() {
 fn broken_reset_attempt_yields_replayable_counterexample() {
     let alg = ResetAttempt::new(3);
     let graph = Graph::cycle(5);
-    let palette = alg.states();
-    let mut seeds: Vec<Vec<ResetTurn>> = vec![vec![]];
-    for _ in 0..5 {
-        seeds = seeds
-            .into_iter()
-            .flat_map(|c| {
-                palette.iter().map(move |s| {
-                    let mut c = c.clone();
-                    c.push(*s);
-                    c
-                })
-            })
-            .collect();
-    }
     let report = explore(
         &alg,
         &graph,
-        &mut seeds.into_iter(),
+        Seeds::Full(&alg.states()),
         &|g, cfg: &[ResetTurn]| reset_attempt_legitimate(&alg, g, cfg),
         None,
         &ExploreConfig::default(),
@@ -140,6 +128,70 @@ fn broken_reset_attempt_yields_replayable_counterexample() {
         witnessed[w.node] = true;
     }
     assert!(witnessed.iter().all(|&b| b), "all nodes witnessed");
+}
+
+/// Every configuration of `n` nodes over `palette`, node 0 most
+/// significant.
+fn product<S: Clone>(palette: &[S], n: usize) -> Vec<Vec<S>> {
+    let mut configs = vec![vec![]];
+    for _ in 0..n {
+        configs = configs
+            .into_iter()
+            .flat_map(|c| {
+                palette.iter().map(move |s| {
+                    let mut c = c.clone();
+                    c.push(s.clone());
+                    c
+                })
+            })
+            .collect();
+    }
+    configs
+}
+
+/// Explores the full space over `alg`'s states twice: ranked
+/// (`Seeds::Full`) and hashed (the same configurations as `Seeds::Listed`).
+fn ranked_and_hashed<A: StateSpace>(
+    alg: &A,
+    graph: &Graph,
+    oracle: &dyn Fn(&Graph, &[A::State]) -> bool,
+) -> [ExploreReport<A::State>; 2] {
+    let palette = alg.states();
+    let mut listed = product(&palette, graph.node_count()).into_iter();
+    [Seeds::Full(&palette), Seeds::Listed(&mut listed)].map(|seeds| {
+        explore(
+            alg,
+            graph,
+            seeds,
+            oracle,
+            None,
+            &ExploreConfig::default(),
+            &mut |_| {},
+        )
+        .expect("explore")
+    })
+}
+
+/// The ranked store gives the hashed store's report on real algorithms:
+/// stats, palette, both verdicts and the traces, including the
+/// reset-attempt live-lock's fair cycle.
+#[test]
+fn ranked_and_hashed_full_spaces_agree() {
+    let au = AlgAu::new(1);
+    let oracle = GoodGraphOracle::new(au);
+    let [ranked, hashed] =
+        ranked_and_hashed(&au, &Graph::cycle(3), &|g, c| oracle.is_legitimate(g, c));
+    assert_eq!(ranked.stats.states, 5832);
+    assert!(ranked.certified());
+    assert_eq!(ranked, hashed);
+
+    let reset = ResetAttempt::new(3);
+    let [ranked, hashed] = ranked_and_hashed(&reset, &Graph::cycle(5), &|g, c| {
+        reset_attempt_legitimate(&reset, g, c)
+    });
+    let trace = ranked.convergence.trace().expect("the live-lock");
+    assert_eq!(trace.kind, ViolationKind::FairCycle);
+    assert_eq!(ranked, hashed);
 }
 
 /// The committed broken spec reports the same violation through the full
@@ -228,6 +280,7 @@ fn verify_results_deterministic_across_runs() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for name in [
         "verify-algau",
+        "verify-algau-cycle4",
         "verify-broken",
         "verify-composites",
         "verify-min-plus-one",
