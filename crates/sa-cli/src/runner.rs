@@ -21,6 +21,7 @@
 use sa_bench::jobs::{JobConfig, JobScheduler, JobState};
 use sa_bench::sweep::SweepSpec;
 use sa_model::json::JsonValue;
+use sa_model::metrics::rows_from_json;
 use sa_runtime::parallel::thread_count;
 use std::fs;
 use std::io::Write;
@@ -41,16 +42,9 @@ fn failing_rows(path: &Path) -> Result<usize, String> {
         JsonValue::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
     let rows = report
         .get("rows")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{} has no rows", path.display()))?;
-    Ok(rows
-        .iter()
-        .filter(|row| {
-            row.get("failures")
-                .and_then(JsonValue::as_f64)
-                .is_some_and(|failures| failures > 0.0)
-        })
-        .count())
+        .and_then(rows_from_json)
+        .ok_or_else(|| format!("{} has no valid rows", path.display()))?;
+    Ok(rows.iter().filter(|row| row.failures > 0).count())
 }
 
 pub(crate) struct Options {

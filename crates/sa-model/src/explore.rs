@@ -1921,24 +1921,62 @@ mod tests {
     }
 
     /// Builds the successor graph of every configuration over `values`
-    /// local states and checks it against direct evaluation on all coin
-    /// tapes: the memo's target set of every (configuration, node) view, the
-    /// enabled mask, and every stored edge, in odometer order (in a
-    /// deterministic relation also the activation decoded from the edge
-    /// ordinal).
+    /// local states in each store the explorer has: ranked (`Seeds::Full`),
+    /// hashed (`Seeds::Listed` in lexicographic order) and hashed under a
+    /// normalizer (`Seeds::Full`, each configuration replaced by its mirror
+    /// image when that is smaller: the reflection `v ↦ n − 1 − v` is an
+    /// automorphism of paths and cycles). Each is checked against direct
+    /// evaluation on all coin tapes by [`replay_edges`].
+    /// Lexicographic listing gives every configuration its rank as id, so
+    /// the ranked and the hashed successor graphs must also be equal.
     fn assert_edges_replay<A: Algorithm<State = u8>>(alg: &A, graph: &Graph, values: u8) {
         let config = ExploreConfig::default();
         let palette: Vec<u8> = (0..values).collect();
-        let mut space = Space::new(alg, graph, &uniform, None, &config).expect("space");
-        space
-            .build(Seeds::Full(&palette), &config, &mut |_| {})
-            .expect("build");
-        let n = graph.node_count();
-        let tapes = if space.deterministic {
-            1
-        } else {
-            config.coin_tapes
+        let reflect: NormalizeFn<'_, u8> = &|cfg| {
+            if cfg.iter().rev().lt(cfg.iter()) {
+                cfg.reverse();
+            }
         };
+        let mut graphs = Vec::new();
+        for (normalize, listed) in [(None, false), (None, true), (Some(reflect), false)] {
+            let mut space = Space::new(alg, graph, &uniform, normalize, &config).expect("space");
+            let mut configs = all_configs(values, graph.node_count()).into_iter();
+            let seeds = if listed {
+                Seeds::Listed(&mut configs)
+            } else {
+                Seeds::Full(&palette)
+            };
+            space.build(seeds, &config, &mut |_| {}).expect("build");
+            let ranked = matches!(space.store, Store::Ranked(_));
+            assert_eq!(ranked, normalize.is_none() && !listed, "store choice");
+            replay_edges(alg, graph, &space, config.coin_tapes);
+            if normalize.is_none() {
+                graphs.push((
+                    space.palette,
+                    space.legit,
+                    space.enabled,
+                    space.succ_offsets,
+                    space.succ_ids,
+                ));
+            }
+        }
+        assert!(graphs[0] == graphs[1], "ranked and hashed successor graphs");
+    }
+
+    /// Checks a built space against direct evaluation on `coin_tapes` tapes
+    /// (one for a deterministic relation): the memo's target set of every
+    /// (configuration, node) view, the enabled mask, and every stored edge,
+    /// normalized if the space has a normalizer, in odometer order (in a
+    /// deterministic relation also the activation decoded from the edge
+    /// ordinal).
+    fn replay_edges<A: Algorithm<State = u8>>(
+        alg: &A,
+        graph: &Graph,
+        space: &Space<'_, A>,
+        coin_tapes: u32,
+    ) {
+        let n = graph.node_count();
+        let tapes = if space.deterministic { 1 } else { coin_tapes };
         let mut view = Vec::new();
         let mut edges = 0;
         for id in 0..space.store.len() as u32 {
@@ -1950,11 +1988,14 @@ mod tests {
             for (v, direct) in targets.iter().enumerate() {
                 space.memo.view_into(v, &src, &mut view);
                 let entry = space.memo.views.find(&view).expect("view memoized") as usize;
-                let stored: Vec<u8> = space.memo.target_ids
-                    [space.memo.bounds[entry]..space.memo.bounds[entry + 1]]
-                    .iter()
-                    .map(|&i| space.palette[i as usize])
-                    .collect();
+                let span = space.memo.bounds[entry]..space.memo.bounds[entry + 1];
+                let stored: Vec<u8> = match space.normalize {
+                    None => space.memo.target_ids[span]
+                        .iter()
+                        .map(|&i| space.palette[i as usize])
+                        .collect(),
+                    Some(_) => space.memo.targets[span].to_vec(),
+                };
                 assert_eq!(&stored, direct, "node {v} of configuration #{id}");
             }
             let enabled: Vec<NodeId> = (0..n).filter(|&v| !targets[v].is_empty()).collect();
@@ -1975,6 +2016,9 @@ mod tests {
                         act |= 1 << v;
                     }
                     rest /= r;
+                }
+                if let Some(norm) = space.normalize {
+                    norm(&mut next);
                 }
                 assert_eq!(space.decode(sid), next, "edge {j} of configuration #{id}");
                 if space.deterministic {
