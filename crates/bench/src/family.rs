@@ -168,8 +168,7 @@ pub trait SweepFamily: Family {
 
     /// [`Family::is_legitimate`] decomposed into per-node conjuncts for the
     /// incremental `LegitimacyTracker`. Must agree with it on every
-    /// configuration (pinned by `tests/oracle_equivalence.rs` and the
-    /// `SA_FORCE_FULL_ORACLE` CI legs).
+    /// configuration (pinned by `tests/oracle_equivalence.rs`).
     fn local_oracle(&self) -> &dyn LocalPredicate<State<Self>>;
 
     /// Emptiness of the checker's snapshot check, decomposed likewise.

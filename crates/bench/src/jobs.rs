@@ -94,7 +94,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -237,15 +237,21 @@ pub struct JobStatus {
     pub units_interrupted: usize,
     /// Units that never started (still queued at shutdown/cancel).
     pub units_not_started: usize,
+    /// Rows of the rendered report whose `failures` count is positive (0
+    /// until the reports render). Instant tasks (`static`, `restart-exit`)
+    /// have rows but no units, so only this count carries their failures.
+    pub failing_rows: usize,
     /// The first unit error, if any.
     pub error: Option<String>,
 }
 
 impl JobStatus {
-    /// Whether the job finished with every unit clean.
+    /// Whether the job finished with every unit clean and no report row
+    /// counting failures.
     pub fn clean(&self) -> bool {
         self.state == JobState::Finished
             && self.units_clean == self.units_total
+            && self.failing_rows == 0
             && self.error.is_none()
     }
 
@@ -287,6 +293,10 @@ impl JobStatus {
                 "units_not_started".to_string(),
                 u64_to_json(self.units_not_started as u64),
             ),
+            (
+                "failing_rows".to_string(),
+                u64_to_json(self.failing_rows as u64),
+            ),
             ("clean".to_string(), JsonValue::Bool(self.clean())),
             (
                 "error".to_string(),
@@ -297,7 +307,8 @@ impl JobStatus {
         ])
     }
 
-    /// Deserializes a status produced by [`JobStatus::to_json`].
+    /// Deserializes a status produced by [`JobStatus::to_json`]; a status
+    /// without `failing_rows` (archived before the field existed) reads 0.
     pub fn from_json(value: &JsonValue) -> Option<Self> {
         let count = |key: &str| value.get(key).and_then(u64_from_json).map(|v| v as usize);
         Some(JobStatus {
@@ -311,6 +322,7 @@ impl JobStatus {
             units_clean: count("units_clean")?,
             units_interrupted: count("units_interrupted")?,
             units_not_started: count("units_not_started")?,
+            failing_rows: count("failing_rows").unwrap_or(0),
             error: match value.get("error") {
                 None | Some(JsonValue::Null) => None,
                 Some(v) => Some(v.as_str()?.to_string()),
@@ -539,24 +551,10 @@ pub trait ResultSink: Send + Sync {
 
 /// Atomic, durable write: temp file in the same directory, fsync, rename,
 /// directory fsync — a kill mid-write can never leave a truncated file
-/// behind, and a completed write survives a power cut. The fsyncs can be
-/// skipped with `SA_NO_FSYNC=1` (benchmarking only). All I/O goes through
+/// behind, and a completed write survives a power cut. All I/O goes through
 /// [`sa_runtime::faultfs`], the deterministic fault-injection seam.
 pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     write_atomic_bytes(path, contents.as_bytes())
-}
-
-/// Whether durable writes fsync (default yes; `SA_NO_FSYNC=1` disables).
-fn fsync_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("SA_NO_FSYNC")
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v == "1" || v == "true"
-            })
-            .unwrap_or(false)
-    })
 }
 
 /// Atomic durable write of raw bytes (the binary checkpoint path). See
@@ -564,14 +562,10 @@ fn fsync_enabled() -> bool {
 pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), String> {
     let tmp = path.with_extension("tmp");
     faultfs::write(&tmp, contents).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    if fsync_enabled() {
-        faultfs::sync_file(&tmp).map_err(|e| format!("cannot fsync {}: {e}", tmp.display()))?;
-    }
+    faultfs::sync_file(&tmp).map_err(|e| format!("cannot fsync {}: {e}", tmp.display()))?;
     faultfs::rename(&tmp, path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))?;
-    if fsync_enabled() {
-        if let Some(dir) = path.parent() {
-            faultfs::sync_dir(dir).map_err(|e| format!("cannot fsync {}: {e}", dir.display()))?;
-        }
+    if let Some(dir) = path.parent() {
+        faultfs::sync_dir(dir).map_err(|e| format!("cannot fsync {}: {e}", dir.display()))?;
     }
     Ok(())
 }
@@ -648,6 +642,8 @@ struct Job {
     running: usize,
     interrupted: usize,
     not_started: usize,
+    /// Report rows counting failures, set when the reports render.
+    failing_rows: usize,
     error: Option<String>,
     cancel: Arc<CancelToken>,
     cancel_requested: bool,
@@ -669,6 +665,7 @@ impl Job {
             units_clean: done.iter().filter(|r| r.is_clean()).count(),
             units_interrupted: self.interrupted,
             units_not_started: self.not_started,
+            failing_rows: self.failing_rows,
             error: self.error.clone(),
         }
     }
@@ -1153,6 +1150,7 @@ impl JobScheduler {
                 running: 0,
                 interrupted: 0,
                 not_started: 0,
+                failing_rows: 0,
                 error: None,
                 cancel: Arc::new(CancelToken::new()),
                 cancel_requested: false,
@@ -1402,7 +1400,10 @@ fn finalize_job(inner: &Arc<Inner>, id: &str) {
         return;
     };
     let terminal = match written {
-        Ok(()) => JobState::Finished,
+        Ok(failing_rows) => {
+            job.failing_rows = failing_rows;
+            JobState::Finished
+        }
         Err(e) => {
             job.error = Some(e);
             JobState::Failed
@@ -1413,18 +1414,20 @@ fn finalize_job(inner: &Arc<Inner>, id: &str) {
 
 /// Renders and atomically persists `EXPERIMENTS.json` + `EXPERIMENTS.md` —
 /// the same bytes for the same spec and results no matter which scheduler
-/// (or how many interruptions) produced them.
+/// (or how many interruptions) produced them. Returns the number of rows
+/// whose `failures` count is positive.
 fn write_reports(
     spec: &SweepSpec,
     out_dir: &Path,
     completed: &[(SweepUnit, UnitResult)],
-) -> Result<(), String> {
+) -> Result<usize, String> {
     let (mut rows, artifacts) = run_instant_tasks(spec);
     rows.extend(aggregate_rows(completed));
     let json = render_json(spec, &rows, completed).render_pretty();
     let markdown = render_markdown(spec, &rows, &artifacts, completed);
     write_atomic(&out_dir.join("EXPERIMENTS.json"), &json)?;
-    write_atomic(&out_dir.join("EXPERIMENTS.md"), &markdown)
+    write_atomic(&out_dir.join("EXPERIMENTS.md"), &markdown)?;
+    Ok(rows.iter().filter(|row| row.failures > 0).count())
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
@@ -1725,6 +1728,56 @@ mod tests {
         assert!(status.clean(), "AlgAU on a 5-cycle stabilizes: {status:?}");
         assert!(out.join("EXPERIMENTS.json").exists());
         assert!(out.join("EXPERIMENTS.md").exists());
+        fs::remove_dir_all(&out).ok();
+    }
+
+    /// A job whose only task is instant has report rows but no units, so
+    /// its failures live in the rows: one round is too short for AlgMIS to
+    /// stabilize on `grid-4x4`, and the job must not read clean.
+    #[test]
+    fn failing_report_rows_make_a_finished_job_unclean() {
+        let out = temp_dir("failing-rows");
+        let recorder = Arc::new(Recorder::default());
+        let scheduler = JobScheduler::new(1);
+        scheduler.add_sink(recorder.clone() as Arc<dyn ResultSink>);
+        let spec = SweepSpec::parse(
+            r#"{"name": "failing-rows", "tasks": [{"id": "S", "kind": "static",
+                "algorithms": ["algmis"], "topologies": [{"kind": "grid", "rows": 4, "cols": 4}],
+                "seeds": 2, "max_rounds": 1}]}"#,
+        )
+        .expect("test spec parses");
+        let id = scheduler
+            .submit(JobConfig::new(spec, out.clone()))
+            .unwrap()
+            .id;
+        let status = scheduler.wait(&id).unwrap();
+        assert_eq!(status.state, JobState::Finished);
+        assert_eq!((status.units_total, status.units_clean), (0, 0));
+        assert!(status.failing_rows > 0, "{status:?}");
+        assert!(!status.clean(), "{status:?}");
+        let events = recorder.events.lock().unwrap();
+        let finished: Vec<&JobStatus> = events
+            .iter()
+            .filter_map(|e| match e {
+                JobEvent::JobFinished { status, .. } => Some(status),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished, [&status]);
+        let wire = status.to_json();
+        assert_eq!(wire.get("clean"), Some(&JsonValue::Bool(false)));
+        assert_eq!(JobStatus::from_json(&wire).as_ref(), Some(&status));
+        // A `result.json` archived before the field existed reads 0.
+        let archived = JsonValue::parse(
+            r#"{"job": "j1", "spec_name": "s", "client": "c", "priority": 0,
+                "state": "finished", "units_total": 1, "units_done": 1,
+                "units_clean": 1, "units_interrupted": 0, "units_not_started": 0,
+                "clean": true, "error": null}"#,
+        )
+        .unwrap();
+        let archived = JobStatus::from_json(&archived).expect("old status parses");
+        assert_eq!(archived.failing_rows, 0);
+        assert!(archived.clean());
         fs::remove_dir_all(&out).ok();
     }
 

@@ -85,7 +85,7 @@ use sa_model::fault::{FaultInjector, FaultInjectorSnapshot, FaultPlan};
 use sa_model::graph::Graph;
 use sa_model::json::JsonValue;
 use sa_model::metrics::{ExperimentRow, StepTimings, Summary};
-use sa_model::oracle::{force_full_oracle, LegitimacyTracker, LocalPredicate};
+use sa_model::oracle::LegitimacyTracker;
 use sa_model::scheduler::{
     AdversarialLaggardScheduler, CentralScheduler, RoundRobinScheduler, Scheduler,
     SynchronousScheduler, UniformRandomScheduler,
@@ -1441,12 +1441,10 @@ fn run_unit_generic<F: SweepFamily>(
     // check (active in the verification window). Each tracker is fed the
     // changed-node lists only while its phase is active and reseeded at
     // phase transitions, so its knowledge is always exact when queried.
-    let mut oracle = Tracked::new(family.local_oracle(), graph);
-    let mut snapshot = Tracked::new(family.local_snapshot(), graph);
-    let legitimate = |oracle: &mut Tracked<'_, State<F>>, config: &[State<F>]| {
-        oracle
-            .holds(graph, config)
-            .unwrap_or_else(|| family.is_legitimate(graph, config))
+    let mut oracle = LegitimacyTracker::new(graph);
+    let mut snapshot = LegitimacyTracker::new(graph);
+    let legitimate = |oracle: &mut LegitimacyTracker, config: &[State<F>]| {
+        oracle.is_legitimate(family.local_oracle(), graph, config)
     };
     let mut timings = StepTimings::default();
 
@@ -1502,7 +1500,7 @@ fn run_unit_generic<F: SweepFamily>(
     // the oracle tracker restarts from a scan.
     let next_burst = |exec: &mut Execution<'_, F::A>,
                       p: &mut Progress,
-                      oracle: &mut Tracked<'_, State<F>>| {
+                      oracle: &mut LegitimacyTracker| {
         if p.bursts_injected >= recovery.bursts {
             return false;
         }
@@ -1606,12 +1604,13 @@ fn run_unit_generic<F: SweepFamily>(
         // Feed the phase-active tracker this step's changed-node list (the
         // executor's dirty frontier) so its badness bitset stays exact.
         let oracle_start = std::time::Instant::now();
-        let active = if p.phase == PHASE_VERIFYING {
-            &mut snapshot
+        let (tracker, local) = if p.phase == PHASE_VERIFYING {
+            (&mut snapshot, family.local_snapshot())
         } else {
-            &mut oracle
+            (&mut oracle, family.local_oracle())
         };
-        active.note(
+        tracker.note_step(
+            local,
             graph,
             exec.configuration(),
             exec.last_changed(),
@@ -1635,8 +1634,12 @@ fn run_unit_generic<F: SweepFamily>(
                     // violation enumeration runs only on rounds that
                     // actually violate safety (and only until the
                     // recorded-violation cap).
-                    let clean = snapshot.holds(graph, exec.configuration());
-                    if clean != Some(true) && !violations_capped(&p.violations) {
+                    let clean = snapshot.is_legitimate(
+                        family.local_snapshot(),
+                        graph,
+                        exec.configuration(),
+                    );
+                    if !clean && !violations_capped(&p.violations) {
                         for v in family.checker().check_snapshot(graph, exec.configuration()) {
                             let v = format!("round {}: {v}", exec.rounds());
                             push_violation(&mut p.violations, v);
@@ -1656,12 +1659,12 @@ fn run_unit_generic<F: SweepFamily>(
                 // they are reported to the phase-active tracker explicitly.
                 let victims = injector.on_round(&mut exec);
                 if !victims.is_empty() {
-                    let active = if p.phase == PHASE_VERIFYING {
-                        &mut snapshot
+                    let (tracker, local) = if p.phase == PHASE_VERIFYING {
+                        (&mut snapshot, family.local_snapshot())
                     } else {
-                        &mut oracle
+                        (&mut oracle, family.local_oracle())
                     };
-                    active.note(graph, exec.configuration(), &victims, false);
+                    tracker.note_step(local, graph, exec.configuration(), &victims, false);
                 }
             }
         }
@@ -1688,43 +1691,6 @@ fn run_unit_generic<F: SweepFamily>(
         unrecovered: p.unrecovered,
         timings,
     }))
-}
-
-/// A family predicate and its incremental tracker. Under
-/// `SA_FORCE_FULL_ORACLE=1` there is no tracker and every query answers
-/// `None`, so the caller runs the full scan; CI pins both paths to
-/// identical output.
-struct Tracked<'p, S> {
-    local: &'p dyn LocalPredicate<S>,
-    tracker: Option<LegitimacyTracker>,
-}
-
-impl<'p, S> Tracked<'p, S> {
-    fn new(local: &'p dyn LocalPredicate<S>, graph: &Graph) -> Self {
-        Tracked {
-            local,
-            tracker: (!force_full_oracle()).then(|| LegitimacyTracker::new(graph)),
-        }
-    }
-
-    fn note(&mut self, graph: &Graph, config: &[S], changed: &[usize], uniform: bool) {
-        if let Some(tracker) = self.tracker.as_mut() {
-            tracker.note_step(self.local, graph, config, changed, uniform);
-        }
-    }
-
-    fn holds(&mut self, graph: &Graph, config: &[S]) -> Option<bool> {
-        let local = self.local;
-        self.tracker
-            .as_mut()
-            .map(|tracker| tracker.is_legitimate(local, graph, config))
-    }
-
-    fn reseed(&mut self) {
-        if let Some(tracker) = self.tracker.as_mut() {
-            tracker.reseed();
-        }
-    }
 }
 
 /// A unit's measurement state beyond its execution, scheduler and fault

@@ -52,18 +52,6 @@ use sa_model::graph::Graph;
 use sa_model::json::JsonValue;
 use sa_model::snapshot::u64_to_json;
 use sa_model::topology::Topology;
-use std::sync::OnceLock;
-
-/// `SA_VERIFY_MAX_STATES`: default state budget for verify units whose
-/// spec omits `max_states` (invalid values are ignored). Read once.
-fn env_max_states() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("SA_VERIFY_MAX_STATES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Spec model
@@ -183,8 +171,8 @@ pub struct VerifyTask {
     pub diameter_bound: Option<usize>,
     /// Which part of the configuration space to enumerate.
     pub space: SpaceMode,
-    /// State budget override; `None` falls back to `SA_VERIFY_MAX_STATES`
-    /// and then [`DEFAULT_MAX_STATES`]. Must be positive when present.
+    /// State budget override; `None` means [`DEFAULT_MAX_STATES`]. Must be
+    /// positive when present.
     pub max_states: Option<usize>,
     /// Coin tapes per (node, configuration) for randomized algorithms;
     /// `None` means [`DEFAULT_COIN_TAPES`]. Must be positive when present.
@@ -335,12 +323,10 @@ impl VerifyUnit {
         )
     }
 
-    /// The effective state budget: spec override, else
-    /// `SA_VERIFY_MAX_STATES`, else [`DEFAULT_MAX_STATES`].
+    /// The effective state budget: the spec's `max_states`, else
+    /// [`DEFAULT_MAX_STATES`].
     pub fn effective_max_states(&self) -> usize {
-        self.max_states
-            .or_else(env_max_states)
-            .unwrap_or(DEFAULT_MAX_STATES)
+        self.max_states.unwrap_or(DEFAULT_MAX_STATES)
     }
 
     /// Runs the unit: builds the graph, seeds the space, explores, and
@@ -445,8 +431,7 @@ impl VerifyUnit {
             return Err(format!(
                 "unit {}: full configuration space |Q|^n = {}^{} = {} exceeds \
                  the state budget {} — shrink the instance, raise \
-                 max_states/SA_VERIFY_MAX_STATES, or use \
-                 \"space\": \"reachable\"",
+                 max_states, or use \"space\": \"reachable\"",
                 self.id(),
                 q,
                 n,

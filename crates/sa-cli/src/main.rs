@@ -43,12 +43,10 @@
 //! step boundary after writing their checkpoint. The same guarantee holds
 //! for the daemon, SIGKILL included (CI `serve-smoke`, `tests/serve.rs`).
 //!
-//! Runtime behavior is tuned through `SA_*` environment variables
-//! (`SA_ENGINE`, `SA_ENGINE_THREADS`, `SA_BENCH_THREADS`,
-//! `SA_FORCE_FULL_EVAL`, `SA_FORCE_CLOSURE_EVAL`, `SA_FORCE_FULL_ORACLE`,
-//! `SA_VERIFY_MAX_STATES`, the `SA_SERVE_*` daemon limits, `SA_NO_FSYNC`,
-//! and the `SA_IO_FAULTS` fault-injection seam) —
-//! see `docs/env-vars.md` for the authoritative table.
+//! Engines, budgets and service limits come from the spec and the flags.
+//! The environment is read for two `SA_*` variables only: `SA_BENCH_THREADS`
+//! (the batch worker budget) and `SA_IO_FAULTS` (the test-only
+//! fault-injection seam) — see `docs/env-vars.md`.
 
 mod benchdiff;
 mod benchrecord;
@@ -74,12 +72,8 @@ fn usage() -> ExitCode {
          --socket PATH\n  sa shutdown --socket PATH\n  sa ping     \
          --socket PATH [--wait SECS]\n  sa bench-diff <committed.json> <fresh.json> \
          [--max-regress FRAC] [--max-regress-sharded FRAC]\n  sa bench-record \
-         [--out BENCH_micro.json]\n\nenvironment:\n  SA_ENGINE, SA_ENGINE_THREADS, \
-         SA_BENCH_THREADS, SA_FORCE_FULL_EVAL,\n  SA_FORCE_CLOSURE_EVAL, SA_FORCE_FULL_ORACLE, \
-         SA_VERIFY_MAX_STATES,\n  SA_SERVE_KEEP, SA_SERVE_KEEP_AGE_SECS, SA_SERVE_MAX_FRAME_BYTES,\n  \
-         SA_SERVE_IDLE_TIMEOUT_SECS, SA_SERVE_WRITE_TIMEOUT_SECS,\n  SA_SERVE_UNIT_TIMEOUT_SECS, \
-         SA_SERVE_MAX_QUEUED_UNITS, SA_SERVE_CLIENT_QUOTA,\n  SA_SERVE_CLIENT_WORKERS, \
-         SA_NO_FSYNC, SA_IO_FAULTS — see docs/env-vars.md"
+         [--out BENCH_micro.json]\n\nenvironment:\n  SA_BENCH_THREADS, SA_IO_FAULTS \
+         — see docs/env-vars.md"
     );
     ExitCode::from(2)
 }

@@ -20,8 +20,6 @@
 
 use sa_bench::jobs::{JobConfig, JobScheduler, JobState};
 use sa_bench::sweep::SweepSpec;
-use sa_model::json::JsonValue;
-use sa_model::metrics::rows_from_json;
 use sa_runtime::parallel::thread_count;
 use std::fs;
 use std::io::Write;
@@ -31,20 +29,6 @@ use std::process::ExitCode;
 /// Prints to stdout ignoring EPIPE (so `sa ... | head` exits quietly).
 fn print_out(text: &str) {
     let _ = std::io::stdout().write_all(text.as_bytes());
-}
-
-/// The number of rows of the `EXPERIMENTS.json` at `path` whose `failures`
-/// count is positive.
-fn failing_rows(path: &Path) -> Result<usize, String> {
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let report =
-        JsonValue::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    let rows = report
-        .get("rows")
-        .and_then(rows_from_json)
-        .ok_or_else(|| format!("{} has no valid rows", path.display()))?;
-    Ok(rows.iter().filter(|row| row.failures > 0).count())
 }
 
 pub(crate) struct Options {
@@ -229,7 +213,6 @@ pub fn run(args: &[String], resume: bool) -> Result<ExitCode, String> {
             let md_path = out_dir.join("EXPERIMENTS.md");
             let markdown = fs::read_to_string(&md_path)
                 .map_err(|e| format!("cannot read {}: {e}", md_path.display()))?;
-            let failing_rows = failing_rows(&out_dir.join("EXPERIMENTS.json"))?;
             println!(
                 "complete: {}/{} unit(s) clean; wrote {}/EXPERIMENTS.{{json,md}}",
                 status.units_clean,
@@ -237,18 +220,14 @@ pub fn run(args: &[String], resume: bool) -> Result<ExitCode, String> {
                 out_dir.display()
             );
             print_out(&markdown);
-            if failing_rows > 0 {
-                eprintln!("{failing_rows} report row(s) count failures");
+            if status.failing_rows > 0 {
+                eprintln!("{} report row(s) count failures", status.failing_rows);
             }
-            // Instant tasks (`static`, `restart-exit`) have rows but no units,
-            // so clean units alone do not make a clean run.
-            Ok(
-                if status.units_clean == status.units_total && failing_rows == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                },
-            )
+            Ok(if status.clean() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            })
         }
         JobState::Queued | JobState::Running => unreachable!("wait() returns terminal states"),
     }

@@ -97,30 +97,21 @@ struct ServeOptions {
     client_workers: usize,
 }
 
-/// `SA_SERVE_*` fallback for a numeric flag (flags win; invalid values are
-/// ignored).
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
     let mut options = ServeOptions {
         socket: PathBuf::new(),
         state_dir: PathBuf::from("serve-state"),
         workers: thread_count(),
         checkpoint_every: 1000,
-        keep: env_u64("SA_SERVE_KEEP", 0) as usize,
-        keep_age_secs: env_u64("SA_SERVE_KEEP_AGE_SECS", 0),
-        max_frame_bytes: env_u64("SA_SERVE_MAX_FRAME_BYTES", 1 << 20) as usize,
-        idle_timeout_secs: env_u64("SA_SERVE_IDLE_TIMEOUT_SECS", 300),
-        write_timeout_secs: env_u64("SA_SERVE_WRITE_TIMEOUT_SECS", 30),
-        unit_timeout_secs: env_u64("SA_SERVE_UNIT_TIMEOUT_SECS", 0),
-        max_queued_units: env_u64("SA_SERVE_MAX_QUEUED_UNITS", 10_000) as usize,
-        client_quota: env_u64("SA_SERVE_CLIENT_QUOTA", 0) as usize,
-        client_workers: env_u64("SA_SERVE_CLIENT_WORKERS", 0) as usize,
+        keep: 0,
+        keep_age_secs: 0,
+        max_frame_bytes: 1 << 20,
+        idle_timeout_secs: 300,
+        write_timeout_secs: 30,
+        unit_timeout_secs: 0,
+        max_queued_units: 10_000,
+        client_quota: 0,
+        client_workers: 0,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {

@@ -14,8 +14,8 @@
 //! code reflects the verdict: success only when every unit certifies both
 //! closure and convergence. Progress, and each unit's elapsed time and
 //! explored states per second, go to stderr; the state budget is
-//! the spec's `max_states`, else `SA_VERIFY_MAX_STATES`, else the
-//! built-in default (see `docs/verify.md`).
+//! the spec's `max_states`, else the built-in default (see
+//! `docs/verify.md`).
 
 use crate::runner::load_spec;
 use sa_bench::jobs::write_atomic;

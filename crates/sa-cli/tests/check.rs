@@ -1,7 +1,8 @@
 //! `sa check` on the instant task kinds: the committed claims specs
 //! validate, and malformed `restart-exit` / `static` tasks are rejected
 //! with the offending field named. `sa run` exits nonzero when an instant
-//! task's row counts failures.
+//! task's row counts failures, and `sa verify` when an instance exceeds
+//! its spec's state budget.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -103,5 +104,39 @@ fn sa_run_exits_nonzero_when_an_instant_task_row_fails() {
         );
         assert_eq!(report.contains("\"failures\": 0"), clean, "{report}");
     }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A verify task's `max_states` is the budget `sa verify` holds the
+/// instance to: AlgAU's full space on `path-2` has 18² = 324
+/// configurations, so a budget of 10 refuses it before exploring and the
+/// run exits nonzero.
+#[test]
+fn sa_verify_exits_nonzero_over_the_spec_state_budget() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("sa-verify-budget-test-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("budget.json");
+    fs::write(
+        &spec,
+        r#"{"name": "budget", "tasks": [{"id": "V", "kind": "verify",
+            "algorithms": ["algau"], "topologies": [{"kind": "path", "n": 2}],
+            "max_states": 10}]}"#,
+    )
+    .unwrap();
+    let out = Command::new(SA)
+        .arg("verify")
+        .arg(&spec)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .output()
+        .expect("run sa verify");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "the budget guard let it run: {stderr}"
+    );
+    assert!(stderr.contains("exceeds the state budget"), "{stderr}");
     fs::remove_dir_all(&dir).ok();
 }

@@ -37,8 +37,8 @@ pub enum MaskedOutcome<S> {
 /// [`Algorithm::transition`] would return on a [`Signal`] sensing exactly the
 /// states whose bits are set in `signal_words`, consuming the RNG stream
 /// identically (deterministic algorithms consume nothing on either path).
-/// The equivalence property tests in `tests/engine_equivalence.rs` and the
-/// `SA_FORCE_CLOSURE_EVAL=1` CI leg pin this.
+/// The equivalence property tests in `tests/engine_equivalence.rs` pin
+/// this.
 ///
 /// Implementations are shared immutably by every evaluation lane of the
 /// sharded engine, hence the `Sync` bound.
@@ -141,10 +141,9 @@ pub trait Algorithm: Sync {
     /// Implementations should return `None` if the index does not look like
     /// their own state space (defensive — never guess).
     ///
-    /// The environment variable `SA_FORCE_CLOSURE_EVAL=1` (and
-    /// [`ExecutionBuilder::masked_transitions(false)`](crate::executor::ExecutionBuilder::masked_transitions))
-    /// disables the mask path process-wide / per execution, which CI uses to
-    /// keep the closure fallback tested.
+    /// [`ExecutionBuilder::masked_transitions(false)`](crate::executor::ExecutionBuilder::masked_transitions)
+    /// disables the mask path per execution, which the differential tests
+    /// use to keep the closure fallback tested.
     fn compile_masked<'s>(
         &'s self,
         _index: &Arc<StateIndex<Self::State>>,
@@ -213,8 +212,8 @@ pub trait LegitimacyOracle<A: Algorithm> {
     /// [`run_until_legitimate`](crate::executor::Execution::run_until_legitimate)
     /// — O(changed·deg) per step instead of O(n·deg) per round. The
     /// decomposition must be *exactly* equivalent to [`is_legitimate`]:
-    /// `is_legitimate(g, c) ⟺ ∀v. node_ok(v) ∧ weight clause` (the
-    /// equivalence is pinned in CI via `SA_FORCE_FULL_ORACLE=1` legs).
+    /// `is_legitimate(g, c) ⟺ ∀v. node_ok(v) ∧ weight clause` (pinned by
+    /// `tests/oracle_equivalence.rs`).
     /// Closure oracles and other non-decomposing predicates keep the
     /// default `None` and run the full scan every round.
     ///

@@ -132,13 +132,9 @@ where
         // each step's changed-node list and the (usually clean) per-round
         // check is O(1); the full check_snapshot scan only runs to
         // materialize messages on rounds the tracker says are bad. Falls
-        // back to a scan every round for non-decomposing checkers or under
-        // SA_FORCE_FULL_ORACLE=1 — same verdicts, same messages.
-        let local = if crate::oracle::force_full_oracle() {
-            None
-        } else {
-            checker.snapshot_as_local()
-        };
+        // back to a scan every round for non-decomposing checkers — same
+        // verdicts, same messages.
+        let local = checker.snapshot_as_local();
         let mut tracker = local
             .as_ref()
             .map(|_| crate::oracle::LegitimacyTracker::new(exec.graph()));
@@ -232,11 +228,7 @@ where
     // Incremental safety tracking, as in `measure_stabilization`: per-round
     // cleanliness comes from the tracker when the checker decomposes, and
     // the full scan only runs where messages are actually needed.
-    let local = if crate::oracle::force_full_oracle() {
-        None
-    } else {
-        checker.snapshot_as_local()
-    };
+    let local = checker.snapshot_as_local();
     let mut tracker = local
         .as_ref()
         .map(|_| crate::oracle::LegitimacyTracker::new(exec.graph()));

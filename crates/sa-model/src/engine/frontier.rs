@@ -19,8 +19,7 @@
 //! * faults ([`Execution::corrupt`](crate::executor::Execution::corrupt)),
 //!   snapshot restores and uniform bulk changes re-dirty conservatively.
 //!
-//! `SA_FORCE_FULL_EVAL=1` (or
-//! [`ExecutionBuilder::active_set(false)`](crate::executor::ExecutionBuilder::active_set))
+//! [`ExecutionBuilder::active_set(false)`](crate::executor::ExecutionBuilder::active_set)
 //! disables the skip, which the differential tests use to pin active-set ≡
 //! full-scan equality.
 

@@ -32,10 +32,8 @@
 //! The equivalence property tests in `tests/engine_equivalence.rs` pin this.
 //!
 //! The engine is selected per execution via
-//! [`ExecutionBuilder::engine`](crate::executor::ExecutionBuilder::engine),
-//! or process-wide through the environment (`SA_ENGINE=sharded`,
-//! `SA_ENGINE_THREADS=4`), which CI uses to run the whole test suite under
-//! the sharded engine.
+//! [`ExecutionBuilder::engine`](crate::executor::ExecutionBuilder::engine)
+//! (default: serial); a sweep spec names it per unit in its `engines` axis.
 
 pub mod account;
 pub mod apply;
@@ -71,39 +69,6 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Reads the process-wide engine selection from the environment:
-    /// `SA_ENGINE=sharded` selects the sharded engine with
-    /// `SA_ENGINE_THREADS` lanes (default: the machine's available
-    /// parallelism); anything else selects the serial engine.
-    ///
-    /// Parsed once and cached for the process lifetime — every
-    /// [`Execution`](crate::executor::Execution) constructed without an
-    /// explicit engine consults this. Note that each sharded execution owns
-    /// its own worker pool; forcing `SA_ENGINE=sharded` is meant for CI
-    /// test runs and for dedicated large executions, not for combining with
-    /// an already-saturated unit fan-out (a job-scheduler worker per core
-    /// plus a default-width pool per unit oversubscribes the machine — set
-    /// `SA_ENGINE_THREADS` to something small if you really want both).
-    pub fn from_env() -> EngineKind {
-        static CACHED: std::sync::OnceLock<EngineKind> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| match std::env::var("SA_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("sharded") => {
-                let threads = std::env::var("SA_ENGINE_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1)
-                    });
-                EngineKind::Sharded {
-                    threads: threads.max(1),
-                }
-            }
-            _ => EngineKind::Serial,
-        })
-    }
-
     /// A short display label (`"serial"` / `"sharded"`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -127,11 +92,10 @@ pub struct EvalCtx<'e, A: Algorithm> {
     /// scratch signal as a dense bitmask instead of a `BTreeSet`.
     pub(crate) index: Option<&'e Arc<StateIndex<A::State>>>,
     /// The algorithm's mask-compiled transition, if any (and not disabled
-    /// via `SA_FORCE_CLOSURE_EVAL` / the builder).
+    /// through the builder).
     pub(crate) masked: Option<&'e (dyn MaskedTransition<A::State> + 'e)>,
     /// The active-set dirty frontier, `None` when active-set execution is
-    /// off (randomized algorithm, `SA_FORCE_FULL_EVAL`, or the builder
-    /// disabled it). When present, the evaluate stage skips clean activated
+    /// off (randomized algorithm, or the builder disabled it). When present, the evaluate stage skips clean activated
     /// nodes — their deterministic transition is provably the identity — and
     /// emits stub no-change updates instead.
     pub(crate) dirty: Option<&'e DirtyFrontier>,

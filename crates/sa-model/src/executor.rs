@@ -48,31 +48,6 @@ use std::sync::Arc;
 
 pub use crate::engine::MAX_DENSE_STATES;
 
-/// Whether `SA_FORCE_FULL_EVAL` disables active-set (dirty-frontier)
-/// execution process-wide (parsed once; CI uses it to keep the full-scan
-/// evaluate path under test, exactly as `SA_FORCE_CLOSURE_EVAL` does for the
-/// closure transition path).
-fn force_full_eval() -> bool {
-    static CACHED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("SA_FORCE_FULL_EVAL")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
-}
-
-/// Whether `SA_FORCE_CLOSURE_EVAL` disables mask-compiled transitions
-/// process-wide (parsed once; CI uses it to keep the closure fallback path
-/// under test after algorithms adopt masks).
-fn force_closure_eval() -> bool {
-    static CACHED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("SA_FORCE_CLOSURE_EVAL")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
-}
-
 /// How the executor represents signals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SignalMode {
@@ -165,9 +140,9 @@ pub struct Execution<'a, A: Algorithm> {
     /// [`Algorithm::compile_masked`]), `None` on the closure path.
     masked: Option<Box<dyn MaskedTransition<A::State> + 'a>>,
     /// The active-set dirty frontier (see [`crate::engine::frontier`]):
-    /// `Some` for deterministic algorithms unless `SA_FORCE_FULL_EVAL` / the
-    /// builder disabled it. Skipping is observationally invisible — the
-    /// trajectory, counters and traces are bit-for-bit those of a full scan.
+    /// `Some` for deterministic algorithms unless the builder disabled it.
+    /// Skipping is observationally invisible — the trajectory, counters and
+    /// traces are bit-for-bit those of a full scan.
     dirty: Option<DirtyFrontier>,
     /// Minimum changed-node count for the partial-batch apply detection to
     /// be worth its `O(n)` bulk pass: `n² / (2|E| + n)` (i.e. the changed
@@ -192,73 +167,32 @@ pub struct Execution<'a, A: Algorithm> {
 }
 
 impl<'a, A: Algorithm> Execution<'a, A> {
-    /// Creates an execution from an explicit initial configuration, choosing
-    /// the signal engine automatically ([`SignalMode::Auto`]) and the step
-    /// engine from the environment ([`EngineKind::from_env`]).
+    /// Creates an execution from an explicit initial configuration with the
+    /// [`ExecutionBuilder`] defaults.
     ///
     /// # Panics
     ///
     /// Panics if `initial.len()` differs from the number of nodes, or if the graph is
     /// empty.
     pub fn new(algorithm: &'a A, graph: &'a Graph, initial: Vec<A::State>, seed: u64) -> Self {
-        Self::with_mode(algorithm, graph, initial, seed, SignalMode::Auto)
+        ExecutionBuilder::new(algorithm, graph)
+            .seed(seed)
+            .initial(initial)
     }
 
-    /// Creates an execution with an explicit [`SignalMode`] (step engine from
-    /// the environment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len()` differs from the number of nodes, or if the graph is
-    /// empty.
-    pub fn with_mode(
-        algorithm: &'a A,
-        graph: &'a Graph,
-        initial: Vec<A::State>,
-        seed: u64,
-        mode: SignalMode,
-    ) -> Self {
-        Self::with_engine(
+    /// The constructor behind [`ExecutionBuilder::initial`].
+    fn build(options: ExecutionBuilder<'a, A>, initial: Vec<A::State>) -> Self {
+        let ExecutionBuilder {
             algorithm,
             graph,
-            initial,
             seed,
+            trace,
             mode,
-            EngineKind::from_env(),
-        )
-    }
-
-    /// Creates an execution with explicit signal and step engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len()` differs from the number of nodes, or if the graph is
-    /// empty.
-    pub fn with_engine(
-        algorithm: &'a A,
-        graph: &'a Graph,
-        initial: Vec<A::State>,
-        seed: u64,
-        mode: SignalMode,
-        kind: EngineKind,
-    ) -> Self {
-        Self::with_options(algorithm, graph, initial, seed, mode, kind, None, None)
-    }
-
-    /// The full constructor behind the builder: like
-    /// [`Execution::with_engine`] plus an explicit mask-transition policy
-    /// (`None` = default: enabled unless `SA_FORCE_CLOSURE_EVAL` is set).
-    #[allow(clippy::too_many_arguments)]
-    fn with_options(
-        algorithm: &'a A,
-        graph: &'a Graph,
-        initial: Vec<A::State>,
-        seed: u64,
-        mode: SignalMode,
-        kind: EngineKind,
-        masked_enabled: Option<bool>,
-        active_set_enabled: Option<bool>,
-    ) -> Self {
+            engine,
+            masked,
+            active_set,
+            streaming_counters,
+        } = options;
         assert!(graph.node_count() > 0, "cannot execute on an empty graph");
         assert_eq!(
             initial.len(),
@@ -277,7 +211,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             (_, SignalMode::Sparse) | (None, _) => None,
             (Some(index), SignalMode::Auto) => DenseSensing::build(index.clone(), graph, &initial),
         };
-        let masked = if masked_enabled.unwrap_or_else(|| !force_closure_eval()) {
+        let masked = if masked {
             index.as_ref().and_then(|ix| algorithm.compile_masked(ix))
         } else {
             None
@@ -286,9 +220,8 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         // Randomized transitions can never be skipped (a fresh coin stream
         // may change the state even on an unchanged signal), so the frontier
         // exists only for deterministic algorithms.
-        let dirty = (deterministic && active_set_enabled.unwrap_or_else(|| !force_full_eval()))
-            .then(|| DirtyFrontier::all_dirty(n));
-        Execution {
+        let dirty = (deterministic && active_set).then(|| DirtyFrontier::all_dirty(n));
+        let mut exec = Execution {
             algorithm,
             graph,
             config: initial,
@@ -296,7 +229,11 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             rounds: 0,
             pending: vec![true; n],
             pending_count: n,
-            counters: NodeCounters::new(n),
+            counters: if streaming_counters {
+                NodeCounters::streaming(n)
+            } else {
+                NodeCounters::new(n)
+            },
             seed,
             sched_rng: StdRng::seed_from_u64(seed),
             trace: None,
@@ -308,13 +245,17 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             dirty,
             batch_min_changed: (n * n / (2 * graph.edge_count() + n)).max(2),
             deterministic,
-            engine: engine::build(kind),
+            engine: engine::build(engine),
             identity: (0..n).collect(),
             all_changed: false,
             scratch_acts: ActivationSet::new(),
             scratch_updates: Vec::new(),
             last_changed: Vec::new(),
+        };
+        if trace {
+            exec.enable_trace();
         }
+        exec
     }
 
     /// Enables trace recording (see [`Trace`]).
@@ -372,8 +313,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
 
     /// Whether active-set (dirty-frontier) execution is live: clean
     /// activated nodes of a deterministic algorithm skip their transition
-    /// evaluation. Off for randomized algorithms, under
-    /// `SA_FORCE_FULL_EVAL=1`, or via
+    /// evaluation. Off for randomized algorithms, or via
     /// [`ExecutionBuilder::active_set`]`(false)`.
     pub fn uses_active_set(&self) -> bool {
         self.dirty.is_some()
@@ -937,10 +877,8 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         S: crate::scheduler::Scheduler + ?Sized,
         O: LegitimacyOracle<A>,
     {
-        if !crate::oracle::force_full_oracle() {
-            if let Some(local) = oracle.as_local() {
-                return self.run_until_legitimate_local(scheduler, local, max_rounds);
-            }
+        if let Some(local) = oracle.as_local() {
+            return self.run_until_legitimate_local(scheduler, local, max_rounds);
         }
         if oracle.is_legitimate(self.graph, &self.config) {
             return StabilizationOutcome::Stabilized {
@@ -966,8 +904,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// absorbs each step's changed-node list, so round-boundary checks cost
     /// O(changed·deg) instead of a full O(n·deg) scan (O(1) once quiescent
     /// or advancing uniformly). Verdicts are bit-identical to the full-scan
-    /// path (pinned by the `oracle_equivalence` tests and the
-    /// `SA_FORCE_FULL_ORACLE=1` CI legs).
+    /// path (pinned by the `oracle_equivalence` tests).
     fn run_until_legitimate_local<S>(
         &mut self,
         scheduler: &mut S,
@@ -1017,9 +954,9 @@ pub struct ExecutionBuilder<'a, A: Algorithm> {
     seed: u64,
     trace: bool,
     mode: SignalMode,
-    engine: Option<EngineKind>,
-    masked: Option<bool>,
-    active_set: Option<bool>,
+    engine: EngineKind,
+    masked: bool,
+    active_set: bool,
     streaming_counters: bool,
 }
 
@@ -1032,9 +969,9 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
             seed: 0,
             trace: false,
             mode: SignalMode::Auto,
-            engine: None,
-            masked: None,
-            active_set: None,
+            engine: EngineKind::Serial,
+            masked: true,
+            active_set: true,
             streaming_counters: false,
         }
     }
@@ -1058,30 +995,29 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
         self
     }
 
-    /// Selects the step engine (default: [`EngineKind::from_env`]).
+    /// Selects the step engine (default [`EngineKind::Serial`]).
     pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = Some(kind);
+        self.engine = kind;
         self
     }
 
     /// Enables or disables the algorithm's mask-compiled transition path
-    /// (see [`Algorithm::compile_masked`]). The default is enabled unless
-    /// `SA_FORCE_CLOSURE_EVAL=1` is set in the environment; disabling forces
-    /// the closure path, which benchmarks and the differential tests use as
-    /// the baseline. Both paths produce bit-identical executions.
+    /// (see [`Algorithm::compile_masked`]). The default is enabled;
+    /// disabling forces the closure path, which benchmarks and the
+    /// differential tests use as the baseline. Both paths produce
+    /// bit-identical executions.
     pub fn masked_transitions(mut self, enabled: bool) -> Self {
-        self.masked = Some(enabled);
+        self.masked = enabled;
         self
     }
 
     /// Enables or disables active-set (dirty-frontier) execution. The
-    /// default is enabled unless `SA_FORCE_FULL_EVAL=1` is set in the
-    /// environment; disabling forces every activated node through a full
-    /// transition evaluation, which the differential tests use as the
+    /// default is enabled; disabling forces every activated node through a
+    /// full transition evaluation, which the differential tests use as the
     /// baseline. Both settings produce bit-identical executions; randomized
     /// algorithms run full-scan regardless.
     pub fn active_set(mut self, enabled: bool) -> Self {
-        self.active_set = Some(enabled);
+        self.active_set = enabled;
         self
     }
 
@@ -1097,24 +1033,7 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
 
     /// Finishes the builder with an explicit initial configuration.
     pub fn initial(self, initial: Vec<A::State>) -> Execution<'a, A> {
-        let kind = self.engine.unwrap_or_else(EngineKind::from_env);
-        let mut exec = Execution::with_options(
-            self.algorithm,
-            self.graph,
-            initial,
-            self.seed,
-            self.mode,
-            kind,
-            self.masked,
-            self.active_set,
-        );
-        if self.streaming_counters {
-            exec.counters = NodeCounters::streaming(exec.config.len());
-        }
-        if self.trace {
-            exec.enable_trace();
-        }
-        exec
+        Execution::build(self, initial)
     }
 
     /// Finishes the builder positioned at a checkpoint snapshot: the

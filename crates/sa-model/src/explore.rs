@@ -138,8 +138,7 @@ use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Default configuration budget when neither the spec nor
-/// `SA_VERIFY_MAX_STATES` says otherwise.
+/// Default configuration budget when the spec gives no `max_states`.
 pub const DEFAULT_MAX_STATES: usize = 2_000_000;
 
 /// Default number of seeded coin tapes used to sample the targets of a
@@ -236,7 +235,7 @@ impl fmt::Display for ExploreError {
             ExploreError::BudgetExceeded { budget } => write!(
                 f,
                 "configuration budget exceeded: more than {budget} reachable configurations \
-                 (raise the spec's max_states or SA_VERIFY_MAX_STATES, or shrink the instance)"
+                 (raise the spec's max_states, or shrink the instance)"
             ),
             ExploreError::BranchingOverflow { successors } => write!(
                 f,

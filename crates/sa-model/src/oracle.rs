@@ -33,27 +33,14 @@
 //!   is what makes the post-stabilization round check O(1) on the
 //!   million-node `scale` runs.
 //!
-//! `SA_FORCE_FULL_ORACLE=1` disables the incremental layer process-wide
-//! (CI pins incremental ≡ full-scan verdicts with it, matching the
-//! `SA_FORCE_FULL_EVAL`/`SA_FORCE_CLOSURE_EVAL` discipline). Oracles that
-//! do not decompose simply keep the default [`as_local`] of `None` and run
-//! the full scan unconditionally.
+//! Oracles that do not decompose simply keep the default [`as_local`] of
+//! `None` and run the full scan unconditionally; wrapping a decomposing
+//! oracle in one that hides its decomposition is how
+//! `tests/oracle_equivalence.rs` pins incremental ≡ full-scan verdicts.
 //!
 //! [`as_local`]: crate::algorithm::LegitimacyOracle::as_local
 
 use crate::graph::{Graph, NodeId};
-
-/// Whether `SA_FORCE_FULL_ORACLE` disables incremental legitimacy tracking
-/// process-wide (parsed once; CI uses it to pin incremental ≡ full-scan
-/// verdicts, exactly as `SA_FORCE_FULL_EVAL` does for the evaluate stage).
-pub fn force_full_oracle() -> bool {
-    static CACHED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("SA_FORCE_FULL_ORACLE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
-}
 
 /// A legitimacy (or safety) predicate decomposed into per-node conjuncts.
 ///
@@ -122,11 +109,11 @@ enum Mode {
 /// Feed it every step's changed-node list via [`note_step`] and query the
 /// verdict at round boundaries via [`is_legitimate`]; both are exactly
 /// equivalent to running the full predicate from scratch (pinned by the
-/// `oracle_equivalence` differential tests and the `SA_FORCE_FULL_ORACLE`
-/// CI legs). State injected *outside* the step pipeline (fault corruption,
-/// snapshot restore) must be reported via [`note_step`] with the victims as
-/// the changed list, or by [`reseed`] — the sweep runner does the former
-/// for fault bursts and the latter on checkpoint resume.
+/// `oracle_equivalence` differential tests). State injected *outside* the
+/// step pipeline (fault corruption, snapshot restore) must be reported via
+/// [`note_step`] with the victims as the changed list, or by [`reseed`] —
+/// the sweep runner does the former for fault bursts and the latter on
+/// checkpoint resume.
 ///
 /// [`note_step`]: LegitimacyTracker::note_step
 /// [`is_legitimate`]: LegitimacyTracker::is_legitimate
@@ -517,13 +504,5 @@ mod tests {
         // reseed() forgets everything but the next check recovers.
         tracker.reseed();
         assert!(!tracker.is_legitimate(&pred, &graph, &snapshot_like));
-    }
-
-    /// `force_full_oracle` parses the environment once and defaults off.
-    #[test]
-    fn force_full_oracle_defaults_off() {
-        if std::env::var("SA_FORCE_FULL_ORACLE").is_err() {
-            assert!(!force_full_oracle());
-        }
     }
 }

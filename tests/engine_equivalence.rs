@@ -6,9 +6,10 @@
 //! shard count must be **observationally irrelevant**. These tests pin that
 //! guarantee by running serial and sharded executions in lockstep — across
 //! all six schedulers, both signal modes, under periodic fault injection,
-//! for a deterministic (AlgAU) and a randomized algorithm — and comparing
-//! step outcomes, configurations, changed-node lists, per-node metrics and
-//! round accounting at every step. Identical configurations of the
+//! for a deterministic (AlgAU) and a randomized algorithm, the synchronized
+//! MIS and LE composites, and min-plus-one (no state index at all) — and
+//! comparing step outcomes, configurations, changed-node lists, per-node
+//! metrics and round accounting at every step. Identical configurations of the
 //! *randomized* algorithm are simultaneously a check that the per-node RNG
 //! streams agree draw for draw.
 //!
@@ -23,6 +24,8 @@ use common::Cycler;
 use stone_age_unison::model::algorithm::{Algorithm, StateSpace};
 use stone_age_unison::model::prelude::*;
 use stone_age_unison::model::EngineKind;
+use stone_age_unison::synchronizer::{async_le, async_mis, random_composite_configuration};
+use stone_age_unison::unison::baseline::MinPlusOne;
 use stone_age_unison::unison::AlgAu;
 
 /// Worker counts the sharded engine is exercised at.
@@ -233,6 +236,86 @@ fn randomized_sharded_matches_serial_across_schedulers_modes_workers_and_faults(
                     &context,
                 );
             }
+        }
+    }
+}
+
+/// The synchronizer composites of Corollary 1.2 (AlgMIS and AlgLE lifted
+/// through the synchronizer): randomized hosts whose composite state space
+/// is far beyond the dense engine's limit, so both engines run the sparse
+/// path. Each starts from a fully random composite configuration, under
+/// faults drawn from the composite's representative corrupted states.
+#[test]
+fn synchronized_composites_sharded_match_serial() {
+    let graph = Graph::grid(3, 3);
+    let n = graph.node_count();
+    let d = graph.diameter();
+    let mis = async_mis(d);
+    let le = async_le(d);
+    let mis_init = random_composite_configuration(&mis.inner().states(), mis.unison(), n, 7);
+    let le_init = random_composite_configuration(&le.inner().states(), le.unison(), n, 8);
+    let mis_faults = mis.corrupted_states();
+    let le_faults = le.corrupted_states();
+    for (sched_name, factory) in scheduler_factories(n) {
+        for workers in WORKER_COUNTS {
+            let context = format!("{sched_name}/workers={workers}");
+            assert_lockstep_equivalence(
+                &mis,
+                &graph,
+                mis_init.clone(),
+                0x315 + workers as u64,
+                SignalMode::Auto,
+                workers,
+                factory.as_ref(),
+                Some(&mis_faults),
+                60,
+                &format!("async-mis/{context}"),
+            );
+            assert_lockstep_equivalence(
+                &le,
+                &graph,
+                le_init.clone(),
+                0x1e + workers as u64,
+                SignalMode::Auto,
+                workers,
+                factory.as_ref(),
+                Some(&le_faults),
+                60,
+                &format!("async-le/{context}"),
+            );
+        }
+    }
+}
+
+/// Min-plus-one's registers are unbounded, so it has no state index: both
+/// engines sense and evaluate on the sparse `BTreeSet` signal path, with no
+/// masks and no bitmask scratch rebuild, and a deterministic transition
+/// keeps the active set on.
+#[test]
+fn min_plus_one_sharded_matches_serial_without_a_state_index() {
+    let graph = Graph::grid(3, 4);
+    let n = graph.node_count();
+    let alg = MinPlusOne::new();
+    let palette = [0u64, 1, 5, 17, 100, 1000];
+    let init: Vec<u64> = (0..n)
+        .map(|v| palette[(v * 5 + 3) % palette.len()])
+        .collect();
+    let probe = ExecutionBuilder::new(&alg, &graph).initial(init.clone());
+    assert!(!probe.uses_dense_signals() && !probe.uses_masked_transitions());
+    for (sched_name, factory) in scheduler_factories(n) {
+        for workers in WORKER_COUNTS {
+            assert_lockstep_equivalence(
+                &alg,
+                &graph,
+                init.clone(),
+                0x3110 + workers as u64,
+                SignalMode::Auto,
+                workers,
+                factory.as_ref(),
+                Some(&palette),
+                40,
+                &format!("min-plus-one/{sched_name}/workers={workers}"),
+            );
         }
     }
 }

@@ -9,12 +9,11 @@
 //! wrappers that hide the decomposition (inheriting the default
 //! `as_local() = None` / `snapshot_as_local() = None`), forcing the legacy
 //! full-scan path, and comparing runs across all six scheduler families,
-//! dense and sparse graphs, both step engines and fault injection. The CI
-//! `SA_FORCE_FULL_ORACLE=1` legs re-check the same equivalence end-to-end
-//! through the environment escape hatch.
+//! dense and sparse graphs, both step engines and fault injection.
 //!
-//! Also covered here: the sweep runner's phase machine against its
-//! reference, `measure_stabilization`; its verification windows under
+//! Also covered here: the sweep runner's phase machine, whose verdicts
+//! come from incremental trackers, against a full-scan
+//! `measure_stabilization` reference; its verification windows under
 //! faults that break legitimacy *mid-window* (kill/resume must reseed the
 //! tracker's bad-set and still finish bit-identical); the
 //! violation-recording cap; and the per-node decompositions of the
@@ -620,7 +619,9 @@ fn sweep_window_violation_cap_is_deterministic_across_resume() {
 /// The sweep's phase machine measures exactly what `measure_stabilization`
 /// does: an AlgAU unit run through `sweep::run_unit` reports the same
 /// stabilization rounds and steps, violations and verification window as
-/// the reference on the same seeded start and scheduler.
+/// the reference on the same seeded start and scheduler. The reference runs
+/// the full-scan oracle and checker, so the sweep's incremental verdicts
+/// are checked against a scan of every round.
 #[test]
 fn trial_runner_matches_measure_stabilization() {
     use sa_bench::sweep::{run_unit, CheckpointPolicy, SweepSpec, UnitOutcome};
@@ -657,8 +658,8 @@ fn trial_runner_matches_measure_stabilization() {
         let reference = measure_stabilization(
             &mut exec,
             &mut &mut *sched,
-            &GoodGraphOracle::new(alg),
-            &AuChecker::new(alg),
+            &FullScanOracle(GoodGraphOracle::new(alg)),
+            &FullScanChecker(AuChecker::new(alg)),
             100_000,
             4 * d as u64 + 8,
         );
