@@ -4,6 +4,9 @@
 //! unit of the paper's claims) with wall-clock numbers: how fast the simulator executes AlgAU
 //! transitions, full synchronous rounds, and end-to-end stabilization runs.
 //!
+//! The `composite-step` group times warm AlgLE / AlgMIS steps through the
+//! synchronizer on the factored path against the closure path.
+//!
 //! The `synchronous-round` group runs every topology under **both** signal
 //! engines — `dense` (the incremental bitmask engine, the default) and
 //! `sparse` (the from-scratch `BTreeSet` baseline) — so the dense engine's
@@ -11,7 +14,9 @@
 //! summary, and the full results land in `BENCH_micro.json` (see the
 //! `criterion` stand-in crate).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use sa_model::algorithm::{Algorithm, StateSpace};
 use sa_model::engine::EngineKind;
 use sa_model::executor::{ExecutionBuilder, SignalMode};
@@ -19,6 +24,7 @@ use sa_model::graph::Graph;
 use sa_model::scheduler::{SynchronousScheduler, UniformRandomScheduler};
 use sa_model::signal::Signal;
 use sa_model::topology::Topology;
+use sa_synchronizer::{async_le, async_mis, random_composite_configuration, Synchronized};
 use unison_core::{AlgAu, GoodGraphOracle, Turn};
 
 /// State of the [`MinPlusOne`] scale-benchmark algorithm: a pinned source or
@@ -277,6 +283,56 @@ fn bench_mask_predicates(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+/// Labels of the composite-step topologies (shared with the summary
+/// printer), with their side lengths.
+const COMPOSITE_TORI: [(&str, usize); 2] = [("torus-4x4", 4), ("torus-16x16", 16)];
+
+/// Warm AlgLE and AlgMIS steps through the synchronizer under
+/// `uniform-random` p=0.5, on the factored path (per-node palette
+/// coordinates) and on the closure path (sparse composite signals) —
+/// identical executions, pinned by `tests/engine_equivalence.rs`. Each
+/// execution starts from a random composite configuration and takes 200
+/// steps before timing starts; one iteration is one step.
+fn bench_composite_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("composite-step");
+    group.sample_size(10);
+    for (label, side) in COMPOSITE_TORI {
+        let graph = Topology::Torus {
+            rows: side,
+            cols: side,
+        }
+        .build_deterministic();
+        let d = graph.diameter();
+        composite_legs(&mut group, &format!("le-{label}"), &async_le(d), &graph);
+        composite_legs(&mut group, &format!("mis-{label}"), &async_mis(d), &graph);
+    }
+    group.finish();
+}
+
+/// The factored and closure legs of one composite on one graph.
+fn composite_legs<A: Algorithm + StateSpace>(
+    group: &mut BenchmarkGroup<'_>,
+    label: &str,
+    alg: &Synchronized<A>,
+    graph: &Graph,
+) {
+    let n = graph.node_count();
+    let init = random_composite_configuration(&alg.inner().states(), alg.unison(), n, 3);
+    for (leg, factored) in [("factored", true), ("closure", false)] {
+        group.bench_with_input(BenchmarkId::new(label, leg), graph, |b, graph| {
+            let mut exec = ExecutionBuilder::new(alg, graph)
+                .seed(3)
+                .masked_transitions(factored)
+                .initial(init.clone());
+            let mut sched = UniformRandomScheduler::new(0.5);
+            for _ in 0..200 {
+                exec.step_with(&mut sched);
+            }
+            b.iter(|| exec.step_with(&mut sched))
+        });
+    }
 }
 
 /// Labels of the apply-scaling topologies (shared with the summary printer).
@@ -663,6 +719,24 @@ fn speedup_summary(c: &mut Criterion) {
             );
         }
     }
+    println!("\n==== factored vs closure composite steps (uniform-random 0.5) ====");
+    for (label, _) in COMPOSITE_TORI {
+        for alg in ["le", "mis"] {
+            let bench = format!("{alg}-{label}");
+            let time_of = |leg: &str| {
+                c.records()
+                    .iter()
+                    .find(|r| r.group == "composite-step" && r.bench == format!("{bench}/{leg}"))
+                    .map(|r| r.median_ns)
+            };
+            if let (Some(factored), Some(closure)) = (time_of("factored"), time_of("closure")) {
+                println!(
+                    "{bench:<16} factored {factored:>11.0} ns/step   closure {closure:>11.0} ns/step   speedup {:.2}x",
+                    closure / factored
+                );
+            }
+        }
+    }
     println!(
         "\n==== serial vs sharded apply ({} hardware threads) ====",
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -749,6 +823,7 @@ criterion_group!(
     bench_transition,
     bench_synchronous_round,
     bench_mask_predicates,
+    bench_composite_step,
     bench_apply_scaling,
     bench_engine_scaling,
     bench_stabilization,

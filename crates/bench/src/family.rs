@@ -34,12 +34,14 @@ use sa_model::explore::NormalizeFn;
 use sa_model::graph::Graph;
 use sa_model::json::JsonValue;
 use sa_model::oracle::LocalPredicate;
+use sa_model::signal::StateIndex;
 use sa_model::snapshot::{u64_from_json, u64_to_json, ExecutionSnapshot};
 use sa_protocols::le::LeState;
 use sa_protocols::mis::MisState;
 use sa_protocols::restart::RestartState;
 use sa_protocols::{AlgLe, AlgMis, LeChecker, MisChecker};
 use sa_synchronizer::{async_le, async_mis, SyncState, Synchronized, SynchronizedChecker};
+use std::sync::Arc;
 use unison_core::baseline::min_plus_one::min_plus_one_legitimate;
 use unison_core::baseline::{
     reset_attempt_legitimate, MinPlusOne, MinPlusOneChecker, MinPlusOneOracle, ResetAttempt,
@@ -496,7 +498,10 @@ impl<S, T: LocalPredicate<SyncState<S>>> LocalPredicate<SyncState<S>> for Clocke
 pub struct Composite<H: Algorithm, C, T> {
     alg: Synchronized<H>,
     benign: SyncState<H::State>,
-    inner_palette: Vec<H::State>,
+    /// The inner palette `inner().states()`, which is sorted, as the index
+    /// the synchronizer built for its factored path (shared, not copied):
+    /// random starts draw from it and checkpoints number states by it.
+    inner_palette: Arc<StateIndex<H::State>>,
     turns: Vec<Turn>,
     corrupted: Vec<SyncState<H::State>>,
     checker: C,
@@ -517,8 +522,15 @@ impl<H: Algorithm + StateSpace, C, T> Composite<H, C, T> {
         checker: C,
         task: T,
     ) -> Self {
+        let inner_palette = alg
+            .inner_index()
+            .expect("composite hosts enumerate their states")
+            .clone();
+        // Checkpoint numbers and random starts are positions in
+        // `inner().states()` order; the index's order must be that one.
+        debug_assert!(inner_palette.states() == alg.inner().states());
         Composite {
-            inner_palette: alg.inner().states(),
+            inner_palette,
             turns: alg.unison().states(),
             oracle: Clocked {
                 unison: *alg.unison(),
@@ -535,7 +547,7 @@ impl<H: Algorithm + StateSpace, C, T> Composite<H, C, T> {
     /// product `|Q|²·|T|` is far too large to index directly, but each of
     /// its three coordinates is small).
     fn encode_state(&self, state: &SyncState<H::State>) -> Option<JsonValue> {
-        let pos = |s: &H::State| self.inner_palette.iter().position(|p| p == s);
+        let pos = |s: &H::State| self.inner_palette.position(s);
         let turn = self.turns.iter().position(|t| t == &state.turn)?;
         Some(JsonValue::object([
             (
@@ -552,7 +564,10 @@ impl<H: Algorithm + StateSpace, C, T> Composite<H, C, T> {
 
     /// Decodes a state encoded by [`Composite::encode_state`].
     fn decode_state(&self, value: &JsonValue) -> Option<SyncState<H::State>> {
-        let inner = |key: &str| self.inner_palette.get(value.get(key)?.as_usize()?).cloned();
+        let inner = |key: &str| {
+            let states = self.inner_palette.states();
+            states.get(value.get(key)?.as_usize()?).cloned()
+        };
         Some(SyncState {
             current: inner("c")?,
             previous: inner("p")?,
@@ -565,13 +580,9 @@ impl LeFamily {
     /// The entry for diameter bound `diameter_bound`.
     pub fn new(diameter_bound: usize) -> Self {
         let alg = async_le(diameter_bound);
-        Composite::build(
-            alg,
-            alg.fresh_state(),
-            alg.corrupted_states(),
-            alg.checker(),
-            Colony,
-        )
+        let (benign, corrupted, checker) =
+            (alg.fresh_state(), alg.corrupted_states(), alg.checker());
+        Composite::build(alg, benign, corrupted, checker, Colony)
     }
 }
 
@@ -579,13 +590,9 @@ impl MisFamily {
     /// The entry for diameter bound `diameter_bound`.
     pub fn new(diameter_bound: usize) -> Self {
         let alg = async_mis(diameter_bound);
-        Composite::build(
-            alg,
-            alg.fresh_state(),
-            alg.corrupted_states(),
-            alg.checker(),
-            Tissue,
-        )
+        let (benign, corrupted, checker) =
+            (alg.fresh_state(), alg.corrupted_states(), alg.checker());
+        Composite::build(alg, benign, corrupted, checker, Tissue)
     }
 }
 
@@ -643,7 +650,7 @@ where
 
     fn random_start(&self, n: usize, seed: u64) -> Vec<SyncState<H::State>> {
         sa_synchronizer::random_composite_configuration(
-            &self.inner_palette,
+            self.inner_palette.states(),
             self.alg.unison(),
             n,
             seed ^ 0x9e37_79b9_7f4a_7c15,

@@ -93,7 +93,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -648,7 +648,7 @@ struct Job {
     cancel: Arc<CancelToken>,
     cancel_requested: bool,
     state: JobState,
-    subscribers: Vec<mpsc::SyncSender<JobEvent>>,
+    subscribers: Vec<Subscriber>,
 }
 
 impl Job {
@@ -771,16 +771,76 @@ struct State {
     running_by_client: BTreeMap<String, usize>,
     /// Firehose subscribers ([`JobScheduler::watch_all`]): every event of
     /// every job, in the one total order.
-    firehose: Vec<mpsc::SyncSender<JobEvent>>,
+    firehose: Vec<Subscriber>,
     next_job: u64,
     accepting: bool,
     started: bool,
 }
 
-/// Subscriber channel capacity ([`JobScheduler::watch`] /
+/// Subscriber queue bound ([`JobScheduler::watch`] /
 /// [`JobScheduler::watch_all`]). A consumer that falls this many events
 /// behind is shed (its channel dropped) rather than buffering unboundedly.
 const EVENT_BUFFER: usize = 1024;
+
+/// The sending half of a watch subscription: an unbounded channel that
+/// holds only the events actually queued (a bounded `sync_channel` would
+/// allocate all [`EVENT_BUFFER`] slots up front, ~188 KB per watcher),
+/// with the bound kept by counting what the receiver has not taken yet.
+struct Subscriber {
+    tx: mpsc::Sender<JobEvent>,
+    queued: Arc<AtomicUsize>,
+}
+
+impl Subscriber {
+    /// A subscription and its receiving end.
+    fn new() -> (Self, EventStream) {
+        let (tx, rx) = mpsc::channel();
+        let queued = Arc::new(AtomicUsize::new(0));
+        let stream = EventStream {
+            rx,
+            queued: queued.clone(),
+        };
+        (Subscriber { tx, queued }, stream)
+    }
+
+    /// Queues `event`; `false` when the subscriber must be dropped — it is
+    /// [`EVENT_BUFFER`] events behind, or its receiver is gone. Called
+    /// under the state lock, so one event is offered at a time.
+    fn offer(&self, event: &JobEvent) -> bool {
+        if self.queued.load(AtomicOrdering::Acquire) >= EVENT_BUFFER {
+            return false;
+        }
+        // Count before sending: the receiver decrements only after it has
+        // taken the event, so the count never underflows.
+        self.queued.fetch_add(1, AtomicOrdering::AcqRel);
+        self.tx.send(event.clone()).is_ok()
+    }
+}
+
+/// A [`JobScheduler::watch`] subscription: the job's events in order; the
+/// stream ends after `job-finished`, or once the watcher fell 1,024 events
+/// behind and was shed.
+pub struct EventStream {
+    rx: mpsc::Receiver<JobEvent>,
+    queued: Arc<AtomicUsize>,
+}
+
+impl EventStream {
+    /// Blocks for the next event; `Err` once the stream has ended.
+    pub fn recv(&self) -> Result<JobEvent, mpsc::RecvError> {
+        let event = self.rx.recv()?;
+        self.queued.fetch_sub(1, AtomicOrdering::AcqRel);
+        Ok(event)
+    }
+}
+
+impl Iterator for EventStream {
+    type Item = JobEvent;
+
+    fn next(&mut self) -> Option<JobEvent> {
+        self.recv().ok()
+    }
+}
 
 struct Inner {
     state: Mutex<State>,
@@ -803,12 +863,9 @@ impl Inner {
         for sink in self.sinks.lock().unwrap().iter() {
             sink.event(&event);
         }
-        state
-            .firehose
-            .retain(|tx| tx.try_send(event.clone()).is_ok());
+        state.firehose.retain(|sub| sub.offer(&event));
         if let Some(job) = state.jobs.get_mut(event.job()) {
-            job.subscribers
-                .retain(|tx| tx.try_send(event.clone()).is_ok());
+            job.subscribers.retain(|sub| sub.offer(&event));
         }
     }
 
@@ -872,7 +929,7 @@ struct Dispatch {
 /// `job-finished` events, then blocks on the live stream until it closes.
 pub struct Firehose {
     catch_up: std::vec::IntoIter<JobEvent>,
-    live: mpsc::Receiver<JobEvent>,
+    live: EventStream,
 }
 
 impl Iterator for Firehose {
@@ -1217,20 +1274,19 @@ impl JobScheduler {
     /// `job-finished` so a late watcher never hangs. The channel buffers a
     /// bounded number of events; a consumer that falls further behind is
     /// dropped (slow-watcher shedding). `None`: unknown id.
-    pub fn watch(&self, job: &str) -> Option<mpsc::Receiver<JobEvent>> {
+    pub fn watch(&self, job: &str) -> Option<EventStream> {
         let mut state = self.inner.state.lock().unwrap();
+        let (sub, stream) = Subscriber::new();
         if let Some(entry) = state.jobs.get_mut(job) {
-            let (tx, rx) = mpsc::sync_channel(EVENT_BUFFER);
-            entry.subscribers.push(tx);
-            return Some(rx);
+            entry.subscribers.push(sub);
+            return Some(stream);
         }
         let status = (**state.finished.get(job)?).clone();
-        let (tx, rx) = mpsc::sync_channel(1);
-        let _ = tx.try_send(JobEvent::JobFinished {
+        sub.offer(&JobEvent::JobFinished {
             job: job.to_string(),
             status,
         });
-        Some(rx)
+        Some(stream)
     }
 
     /// Subscribes to the firehose: every event of every job, in the one
@@ -1253,9 +1309,9 @@ impl JobScheduler {
                 status: (**status).clone(),
             })
             .collect();
-        let (tx, live) = mpsc::sync_channel(EVENT_BUFFER);
+        let (sub, live) = Subscriber::new();
         if !self.inner.shutdown.is_cancelled() {
-            state.firehose.push(tx);
+            state.firehose.push(sub);
         }
         Firehose {
             catch_up: catch_up.into_iter(),
@@ -2339,6 +2395,80 @@ mod tests {
         let unique: std::collections::BTreeSet<_> = finished.iter().collect();
         assert_eq!(unique.len(), finished.len(), "no job reported twice");
         assert!(saw_live_accepted, "live events follow the catch-up");
+        fs::remove_dir_all(&out).ok();
+    }
+
+    /// A watcher that never reads is sent exactly the first
+    /// `EVENT_BUFFER` events of its job and is then shed, so its stream
+    /// ends after them instead of buffering without bound. The events are
+    /// synthetic, emitted while the paused scheduler keeps the job live.
+    #[test]
+    fn a_watcher_that_never_reads_gets_the_first_buffer_of_events_then_is_shed() {
+        let out = temp_dir("watch-shed");
+        let scheduler = JobScheduler::new_paused(1);
+        let id = scheduler
+            .submit(JobConfig::new(spec("watch-shed", 1), out.clone()))
+            .unwrap()
+            .id;
+        let stream = scheduler.watch(&id).unwrap();
+        for steps in 0..(EVENT_BUFFER + 10) as u64 {
+            scheduler.inner.emit(JobEvent::UnitCheckpointed {
+                job: id.clone(),
+                unit: "u".to_string(),
+                steps,
+            });
+        }
+        {
+            let state = scheduler.inner.state.lock().unwrap();
+            assert!(state.jobs[&id].subscribers.is_empty(), "watcher not shed");
+        }
+        let received: Vec<u64> = stream
+            .map(|event| match event {
+                JobEvent::UnitCheckpointed { steps, .. } => steps,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(received, (0..EVENT_BUFFER as u64).collect::<Vec<_>>());
+        scheduler.start();
+        scheduler.wait(&id).unwrap();
+        fs::remove_dir_all(&out).ok();
+    }
+
+    /// The same bound on the firehose, through the public API: instant jobs
+    /// emit two events each, and a subscriber that reads none of them keeps
+    /// exactly the first `EVENT_BUFFER`, in order.
+    #[test]
+    fn a_firehose_that_never_reads_gets_the_first_buffer_of_events_then_is_shed() {
+        let out = temp_dir("firehose-shed");
+        let instant = SweepSpec::parse(
+            r#"{"name": "instant", "tasks": [
+                {"id": "S", "kind": "state-space", "diameter_bounds": [1]}
+            ]}"#,
+        )
+        .unwrap();
+        let scheduler = JobScheduler::new(1);
+        let slow = scheduler.watch_all();
+        let ids: Vec<JobId> = (0..EVENT_BUFFER)
+            .map(|_| {
+                scheduler
+                    .submit(JobConfig::new(instant.clone(), out.clone()))
+                    .unwrap()
+                    .id
+            })
+            .collect();
+        assert!(
+            scheduler.inner.state.lock().unwrap().firehose.is_empty(),
+            "slow firehose not shed"
+        );
+        let events: Vec<JobEvent> = slow.collect();
+        assert_eq!(events.len(), EVENT_BUFFER);
+        let expected: Vec<(&str, &str)> = ids[..EVENT_BUFFER / 2]
+            .iter()
+            .flat_map(|id| [("job-accepted", id.as_str()), ("job-finished", id.as_str())])
+            .collect();
+        let got: Vec<(&str, &str)> = events.iter().map(|e| (e.kind(), e.job())).collect();
+        assert_eq!(got, expected);
+        scheduler.shutdown();
         fs::remove_dir_all(&out).ok();
     }
 }

@@ -21,7 +21,7 @@ use crate::level::{Level, Levels};
 use crate::turn::Turn;
 use rand::RngCore;
 use sa_model::algorithm::{Algorithm, MaskedOutcome, MaskedTransition, StateSpace};
-use sa_model::signal::{mask_ops, Signal, StateIndex};
+use sa_model::signal::{mask_ops, Signal, StateIndex, WordPool};
 use std::sync::Arc;
 
 /// Which transition rule (if any) applies at an activation. Exposed so experiment E1
@@ -228,12 +228,12 @@ const NO_RULE: u32 = u32::MAX;
 /// One turn's transition rule compiled to *member sets*: which sensed
 /// turns enable/block each of Table 1's rules, plus the successor turns.
 ///
-/// This is the single compiled encoding of the transition relation shared
-/// by every mask compiler — [`AlgAu::compile_masked`] maps the members to
-/// bits of its turn index, and the synchronizer composite maps them to the
-/// composite states carrying each turn — so a change to a Table-1
-/// condition lands in exactly one place (checked against
-/// [`AlgAu::next_turn`] by the exhaustive differential test below).
+/// This is the single compiled encoding of the transition relation:
+/// [`AlgAu::compile_masked`] maps the members to bits of its turn index,
+/// and the synchronizer composite's factored path runs those same masks on
+/// its turn coordinate (reading `aa_next` to recognize a clock advance) —
+/// so a change to a Table-1 condition lands in exactly one place (checked
+/// against [`AlgAu::next_turn`] by the exhaustive differential test below).
 ///
 /// Rule semantics over a sensed turn set `Λ⁺` (always containing the own
 /// turn):
@@ -383,8 +383,8 @@ impl AlgAuMasks {
         // absent from the index contributes no bit, exactly like
         // `signal.senses` of a non-state is never true on the closure path
         // (e.g. the AF trigger `Faulty(±1)`, which is not a turn). The rule
-        // encoding itself comes from [`AlgAu::turn_rule`], shared with the
-        // synchronizer composite's compiler.
+        // encoding itself comes from [`AlgAu::turn_rule`], which the
+        // synchronizer composite's factored path reads too.
         let set = |table: &mut Vec<u64>, si: usize, turn: Turn| {
             if let Some(i) = index.position(&turn) {
                 table[si * words + i / 64] |= 1u64 << (i % 64);
@@ -432,6 +432,7 @@ impl MaskedTransition<Turn> for AlgAuMasks {
         &self,
         state_idx: u32,
         signal_words: &[u64],
+        _scratch: &mut WordPool,
         _rng: &mut dyn RngCore,
     ) -> MaskedOutcome<Turn> {
         let si = state_idx as usize;
@@ -815,7 +816,7 @@ mod tests {
                 let expected = alg.next_turn(&own, &dense);
                 let si = index.position(&own).unwrap() as u32;
                 let words = dense.dense_words().expect("dense signal");
-                match masked.next_index(si, words, &mut rng) {
+                match masked.next_index(si, words, &mut WordPool::default(), &mut rng) {
                     MaskedOutcome::Indexed(ni) => {
                         assert_eq!(
                             index.state(ni as usize),

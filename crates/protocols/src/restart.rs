@@ -21,10 +21,11 @@
 //! how the detection modules of AlgMIS / AlgLE "invoke Restart").
 
 use rand::RngCore;
-use sa_model::algorithm::{Algorithm, StateSpace};
-use sa_model::signal::Signal;
+use sa_model::algorithm::{Algorithm, MaskedOutcome, MaskedTransition, StateSpace};
+use sa_model::signal::{Signal, StateIndex, WordPool};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// The outcome of one host step: continue with a new host state, or invoke `Restart`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,6 +202,14 @@ impl<H: RestartableAlgorithm> Algorithm for WithRestart<H> {
         Some(self.states())
     }
 
+    fn compile_masked<'s>(
+        &'s self,
+        index: &Arc<StateIndex<Self::State>>,
+    ) -> Option<Box<dyn MaskedTransition<Self::State> + 's>> {
+        RestartMasks::build(self, index)
+            .map(|masks| Box::new(masks) as Box<dyn MaskedTransition<Self::State> + 's>)
+    }
+
     fn transition_is_deterministic(&self) -> bool {
         // The Restart rules themselves are deterministic; the composite is
         // deterministic exactly when the host's step is.
@@ -209,6 +218,124 @@ impl<H: RestartableAlgorithm> Algorithm for WithRestart<H> {
 
     fn name(&self) -> &'static str {
         self.host.name()
+    }
+}
+
+/// Module Restart's rules on an indexed signal, with the host running on
+/// a listed host signal in place of the closure path's `filter_map` into a
+/// `BTreeSet`.
+///
+/// `Restart(_)` orders before `Host(_)`, so an index over
+/// [`WithRestart::states`] holds `σ(0), …, σ(2D)` at positions `0..=2D` and
+/// the host states, in order, after them. On the sorted positions of the
+/// sensed states, rules 1–3 read the first and the last position, and the
+/// host signal is the positions shifted down by `2D + 1` into a pooled
+/// buffer — a few entries, however large the host's space. The host step
+/// itself runs unchanged on the same sensed set, so it draws the same
+/// coins.
+struct RestartMasks<'a, H: RestartableAlgorithm> {
+    host: &'a H,
+    /// `2D + 1`: the number of Restart states, and the host states' offset.
+    restarts: u64,
+    /// The host states, positioned `2D + 1` below their composite index.
+    host_index: Arc<StateIndex<H::State>>,
+    /// Index position of the exit target `Host(q₀*)`.
+    initial: u32,
+}
+
+impl<'a, H: RestartableAlgorithm> RestartMasks<'a, H> {
+    /// Compiles against `index`, or `None` if the index is not laid out as
+    /// described above (defensive — never guess).
+    fn build(
+        alg: &'a WithRestart<H>,
+        index: &Arc<StateIndex<RestartState<H::State>>>,
+    ) -> Option<Self> {
+        let restarts = alg.restart_state_count();
+        let states = index.states();
+        if states.len() < restarts
+            || (0..restarts).any(|i| states[i] != RestartState::Restart(i as u32))
+        {
+            return None;
+        }
+        let host_states: Vec<H::State> = states[restarts..]
+            .iter()
+            .map(|s| s.host().cloned())
+            .collect::<Option<_>>()?;
+        Some(RestartMasks {
+            host: &alg.host,
+            restarts: restarts as u64,
+            host_index: Arc::new(StateIndex::new(host_states)),
+            initial: index.position(&RestartState::Host(alg.host.initial_state()))? as u32,
+        })
+    }
+}
+
+impl<H: RestartableAlgorithm> MaskedTransition<RestartState<H::State>> for RestartMasks<'_, H> {
+    fn next_index(
+        &self,
+        state_idx: u32,
+        signal_words: &[u64],
+        scratch: &mut WordPool,
+        rng: &mut dyn RngCore,
+    ) -> MaskedOutcome<RestartState<H::State>> {
+        // A neighbourhood senses a handful of states: list their positions
+        // once instead of scanning the words for every rule and host query.
+        let mut positions = scratch.take(0);
+        for (w, &word) in signal_words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                positions.push((w * 64) as u64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        let outcome =
+            self.next_index_listed(state_idx, &positions, signal_words.len(), scratch, rng);
+        scratch.give(positions);
+        outcome
+    }
+
+    fn next_index_listed(
+        &self,
+        state_idx: u32,
+        positions: &[u64],
+        _words: usize,
+        scratch: &mut WordPool,
+        rng: &mut dyn RngCore,
+    ) -> MaskedOutcome<RestartState<H::State>> {
+        let restarts = self.restarts;
+        let (&min, &max) = positions
+            .first()
+            .zip(positions.last())
+            .expect("a signal senses at least the node's own state");
+        if min < restarts {
+            if max >= restarts {
+                // Rule 1: mixed neighborhood -> (re)enter at σ(0).
+                return MaskedOutcome::Indexed(0);
+            }
+            return MaskedOutcome::Indexed(if min + 1 == restarts {
+                // Rule 3: everyone is at σ(2D) -> exit concurrently to q₀*.
+                self.initial
+            } else {
+                // Rule 2: advance to σ(i_min + 1).
+                min as u32 + 1
+            });
+        }
+        // No Restart state anywhere in the neighborhood: run the host.
+        let mut host_positions = scratch.take(0);
+        host_positions.extend(positions.iter().map(|&i| i - restarts));
+        let signal = Signal::listed(self.host_index.clone(), host_positions);
+        let own = self
+            .host_index
+            .state((u64::from(state_idx) - restarts) as usize);
+        let outcome = self.host.step(own, &signal, rng);
+        scratch.give(signal.into_positions().expect("the signal is listed"));
+        match outcome {
+            HostOutcome::Continue(next) => match self.host_index.position(&next) {
+                Some(i) => MaskedOutcome::Indexed((restarts + i as u64) as u32),
+                None => MaskedOutcome::Escaped(RestartState::Host(next)),
+            },
+            HostOutcome::Restart => MaskedOutcome::Indexed(0),
+        }
     }
 }
 
@@ -415,6 +542,76 @@ mod tests {
             w.transition(&TState::Host(3), &sig, &mut rng),
             TState::Host(4)
         );
+    }
+
+    /// Module Restart's masks — on mask words and on listed positions —
+    /// return the closure transition's next state and leave the coin stream
+    /// where the closure leaves it, over random neighbourhoods of AlgLE and
+    /// AlgMIS states: Restart states only, host states only, and mixed.
+    #[test]
+    fn masked_restart_matches_the_closure_transition() {
+        use rand::rngs::CounterRng;
+        use rand::RngCore;
+        fn check<H: RestartableAlgorithm>(alg: &WithRestart<H>, seed: u64) {
+            let index = Arc::new(StateIndex::new(alg.states()));
+            let masks = alg
+                .compile_masked(&index)
+                .expect("Restart compiles its masks");
+            let states = index.states();
+            let restarts = alg.restart_state_count();
+            let mut pick = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut pool = WordPool::default();
+            for case in 0..3000u64 {
+                let range = match case % 3 {
+                    0 => 0..restarts,
+                    1 => restarts..states.len(),
+                    _ => 0..states.len(),
+                };
+                let own = pick.gen_range(range.clone());
+                let mut sensed = vec![own];
+                for _ in 0..pick.gen_range(0..5) {
+                    sensed.push(pick.gen_range(range.clone()));
+                }
+                sensed.sort_unstable();
+                sensed.dedup();
+                let signal = Signal::from_states(sensed.iter().map(|&i| states[i].clone()));
+                let mut words = vec![0u64; index.words()];
+                for &i in &sensed {
+                    words[i / 64] |= 1 << (i % 64);
+                }
+                let positions: Vec<u64> = sensed.iter().map(|&i| i as u64).collect();
+                let mut closure_rng = CounterRng::keyed(seed, case, 0);
+                let expected = alg.transition(&states[own], &signal, &mut closure_rng);
+                let next_coin = closure_rng.next_u64();
+                for listed in [false, true] {
+                    let mut rng = CounterRng::keyed(seed, case, 0);
+                    let outcome = if listed {
+                        masks.next_index_listed(
+                            own as u32,
+                            &positions,
+                            words.len(),
+                            &mut pool,
+                            &mut rng,
+                        )
+                    } else {
+                        masks.next_index(own as u32, &words, &mut pool, &mut rng)
+                    };
+                    let next = match outcome {
+                        MaskedOutcome::Indexed(i) => states[i as usize].clone(),
+                        MaskedOutcome::Escaped(state) => state,
+                    };
+                    assert_eq!(next, expected, "case {case} (listed: {listed})");
+                    assert_eq!(
+                        rng.next_u64(),
+                        next_coin,
+                        "case {case}: coin stream drifted"
+                    );
+                }
+            }
+        }
+        check(&crate::alg_le(3), 1);
+        check(&crate::alg_mis(3), 2);
+        check(&wrapper(2), 3);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! the next state. The RNG stands in for the uniform choice from `δ(q, S_v)`; a
 //! deterministic algorithm ignores it.
 
-use crate::signal::{Signal, StateIndex};
+use crate::graph::{Graph, NodeId};
+use crate::signal::{mask_ops, Signal, StateIndex, WordPool};
 use rand::RngCore;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -45,14 +46,91 @@ pub enum MaskedOutcome<S> {
 pub trait MaskedTransition<S>: Sync {
     /// Computes the transition of a node whose state has index `state_idx`
     /// and whose signal is the dense bitmask `signal_words` (over the
-    /// compiled index). `rng` is the node's private counter-based coin
-    /// stream for this step.
+    /// compiled index). `scratch` is the evaluation lane's buffer pool, for
+    /// transitions that build a derived signal (module Restart's host
+    /// signal); `rng` is the node's private counter-based coin stream for
+    /// this step.
     fn next_index(
         &self,
         state_idx: u32,
         signal_words: &[u64],
+        scratch: &mut WordPool,
         rng: &mut dyn RngCore,
     ) -> MaskedOutcome<S>;
+
+    /// [`MaskedTransition::next_index`] on a signal given as the sorted,
+    /// deduplicated positions of its sensed states in the compiled index
+    /// (`words` mask words wide) — for callers that gather a few states
+    /// out of a large index, where scanning mask words would dominate.
+    /// The default sets the bits and defers to `next_index`.
+    fn next_index_listed(
+        &self,
+        state_idx: u32,
+        positions: &[u64],
+        words: usize,
+        scratch: &mut WordPool,
+        rng: &mut dyn RngCore,
+    ) -> MaskedOutcome<S> {
+        let mut mask = scratch.take(words);
+        for &i in positions {
+            mask_ops::set(&mut mask, i as usize);
+        }
+        let outcome = self.next_index(state_idx, &mask, scratch, rng);
+        scratch.give(mask);
+        outcome
+    }
+}
+
+/// A state's coordinates in a factored state space: up to three small
+/// palette indices (see [`FactoredTransition`]).
+pub type Coords = [u32; 3];
+
+/// The result of a factored transition (see [`FactoredTransition`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FactoredOutcome<S> {
+    /// The next state, by its coordinates.
+    Coords(Coords),
+    /// The next state lies outside the palettes; the executor falls back
+    /// to the closure path, as the dense path degrades to sparse.
+    Escaped(S),
+}
+
+/// A transition compiled over a *factored* state space — the engine-facing
+/// product of [`Algorithm::compile_factored`].
+///
+/// Some state spaces are a product of a few small palettes whose product
+/// is far too large to index: the synchronizer's `(q, q′, ν)` triples have
+/// at most a few thousand values per coordinate and millions of triples.
+/// The executor keeps every node's coordinates beside the configuration
+/// and hands this transition the whole coordinate table, so an activation
+/// reads its closed neighbourhood's coordinates directly instead of
+/// rebuilding a signal of composite states.
+///
+/// The contract is the one of [`MaskedTransition`]: bit-for-bit
+/// equivalence with [`Algorithm::transition`] on the signal the closed
+/// neighbourhood senses, consuming the RNG stream identically. `coords` and
+/// `state` must be inverse bijections between the states inside the
+/// palettes and their coordinates, so equal coordinates mean equal states.
+pub trait FactoredTransition<S>: Sync {
+    /// The coordinates of `state`, or `None` if it lies outside the
+    /// palettes.
+    fn coords(&self, state: &S) -> Option<Coords>;
+
+    /// The state with coordinates `coords`.
+    fn state(&self, coords: Coords) -> S;
+
+    /// Computes the transition of node `v`, whose closed neighbourhood in
+    /// `graph` has the coordinates `coords[v]` and `coords[u]` for every
+    /// neighbour `u`. `scratch` and `rng` are as for
+    /// [`MaskedTransition::next_index`].
+    fn next_coords(
+        &self,
+        graph: &Graph,
+        v: NodeId,
+        coords: &[Coords],
+        scratch: &mut WordPool,
+        rng: &mut dyn RngCore,
+    ) -> FactoredOutcome<S>;
 }
 
 /// A stone-age algorithm: an anonymous randomized finite state machine.
@@ -148,6 +226,23 @@ pub trait Algorithm: Sync {
         &'s self,
         _index: &Arc<StateIndex<Self::State>>,
     ) -> Option<Box<dyn MaskedTransition<Self::State> + 's>> {
+        None
+    }
+
+    /// Compiles this algorithm's transition over a factored state space
+    /// (see [`FactoredTransition`]), or `None` to keep the closure path
+    /// (the default).
+    ///
+    /// The executor asks for it only when
+    /// [`Algorithm::dense_state_space`] is `None`: a space small enough to
+    /// index densely runs on the dense tiers instead. While every node's
+    /// state has coordinates, the evaluate stage dispatches to the
+    /// returned transition; a state outside the palettes drops the
+    /// execution back to the closure path for the rest of the run (or
+    /// until a snapshot restore). Disabled per execution, like the masks,
+    /// by
+    /// [`ExecutionBuilder::masked_transitions(false)`](crate::executor::ExecutionBuilder::masked_transitions).
+    fn compile_factored(&self) -> Option<Box<dyn FactoredTransition<Self::State> + '_>> {
         None
     }
 

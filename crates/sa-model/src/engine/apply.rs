@@ -5,7 +5,8 @@
 //! update `C_{t+1}` — and propagates each change into the incremental
 //! sensing state. Three commit strategies, all bit-for-bit equivalent:
 //!
-//! * `commit` — the serial baseline: one `apply_change` per changed node.
+//! * `commit` — the serial baseline: one `apply_change` per changed node
+//!   (and, on the factored path, one coordinate write).
 //! * `commit_sharded` — for large changed sets: the cheap serial prefix
 //!   (config swaps, `state_idx`, histogram, changed list) runs on the
 //!   calling thread, then the `O(changed · deg)` presence-count/mask updates
@@ -28,7 +29,7 @@
 use super::evaluate::PendingUpdate;
 use super::sense::DenseSensing;
 use super::ApplyCtx;
-use crate::algorithm::Algorithm;
+use crate::algorithm::{Algorithm, Coords};
 use crate::graph::{Graph, NodeId};
 use sa_runtime::pool::WorkerPool;
 use std::sync::Mutex;
@@ -43,7 +44,8 @@ pub const SHARDED_APPLY_MIN_CHANGED: usize = 1024;
 /// (the warm step loop must stay allocation-free).
 const MAX_APPLY_LANES: usize = 32;
 
-/// Commits `updates` to `config`, the sensing state and the changed list.
+/// Commits `updates` to `config`, the sensing state, the factored
+/// coordinates and the changed list.
 ///
 /// For every changed update, `update.next` and the node's configuration
 /// entry are *swapped*, so afterwards `update.next` holds the node's
@@ -54,6 +56,7 @@ pub(crate) fn commit<S: Ord>(
     graph: &Graph,
     config: &mut [S],
     mut sensing: Option<&mut DenseSensing<S>>,
+    mut coords: Option<&mut [Coords]>,
     last_changed: &mut Vec<NodeId>,
 ) {
     last_changed.clear();
@@ -64,6 +67,9 @@ pub(crate) fn commit<S: Ord>(
         std::mem::swap(&mut config[update.v], &mut update.next);
         if let Some(sensing) = sensing.as_deref_mut() {
             sensing.apply_change(graph, update.v, update.new_idx);
+        }
+        if let Some(coords) = coords.as_deref_mut() {
+            coords[update.v] = update.coords;
         }
         last_changed.push(update.v);
     }
@@ -216,6 +222,7 @@ pub(crate) fn commit_ctx<A: Algorithm>(
         ctx.graph,
         ctx.config,
         ctx.sensing,
+        ctx.coords,
         ctx.last_changed,
     );
 }

@@ -24,6 +24,13 @@
 //!    reused scratch [`Signal`] and handed to
 //!    [`Algorithm::transition`].
 //!
+//! An algorithm whose space is too large to index but factors into small
+//! palettes ([`Algorithm::compile_factored`], the synchronizer composites)
+//! takes the **factored** tier instead: while every node's state has
+//! coordinates, the transition reads the closed neighbourhood's
+//! coordinates from the executor's table, with the lane's [`WordPool`]
+//! as scratch. Outside the palettes it falls back to the sparse path.
+//!
 //! The *sparse* path (no incremental sensing) rebuilds each activated node's
 //! signal from the configuration. When the execution still has a
 //! [`StateIndex`](crate::signal::StateIndex) (e.g. `SignalMode::Sparse` benchmarking an algorithm with
@@ -36,9 +43,9 @@
 
 use super::sense::{DenseSensing, UNINDEXED};
 use super::EvalCtx;
-use crate::algorithm::{Algorithm, MaskedOutcome};
+use crate::algorithm::{Algorithm, Coords, FactoredOutcome, FactoredTransition, MaskedOutcome};
 use crate::graph::NodeId;
-use crate::signal::Signal;
+use crate::signal::{Signal, WordPool};
 use rand::rngs::CounterRng;
 use std::sync::Arc;
 
@@ -56,6 +63,10 @@ struct MemoEntry<S> {
     output_changed: bool,
 }
 
+/// The coordinates of an update off the factored path, or of a next state
+/// that left the palettes.
+pub(crate) const NO_COORDS: Coords = [UNINDEXED; 3];
+
 /// A transition computed by the evaluate stage, committed by the apply stage.
 ///
 /// After `apply::commit` runs, `next` holds the
@@ -72,13 +83,16 @@ pub struct PendingUpdate<S> {
     /// Dense index of `next`, [`UNINDEXED`] on the sparse path or when `next`
     /// left the enumerated space (which forces a fallback to sparse).
     pub(crate) new_idx: u32,
+    /// Coordinates of `next` on the factored path, [`NO_COORDS`] otherwise
+    /// or when `next` left the palettes (which forces a fallback).
+    pub(crate) coords: Coords,
     /// Whether the transition changes the node's state.
     pub changed: bool,
     /// Whether the transition changes the node's output value.
     pub output_changed: bool,
 }
 
-/// One evaluation lane: scratch signal + transition memo.
+/// One evaluation lane: scratch signal + transition memo + buffer pool.
 ///
 /// The serial engine owns one; the sharded engine owns one per shard.
 pub(crate) struct Evaluator<S: Clone + Ord> {
@@ -97,6 +111,8 @@ pub(crate) struct Evaluator<S: Clone + Ord> {
     /// synchronized regions consecutive activations share their state, so
     /// the per-node binary search collapses to one equality check.
     own_cache: Option<(S, u32)>,
+    /// Scratch buffers of compiled transitions that build derived signals.
+    pool: WordPool,
 }
 
 impl<S: Clone + Ord> Evaluator<S> {
@@ -108,6 +124,7 @@ impl<S: Clone + Ord> Evaluator<S> {
             scratch: Signal::empty(),
             index_poisoned: false,
             own_cache: None,
+            pool: WordPool::default(),
         }
     }
 
@@ -176,15 +193,54 @@ impl<S: Clone + Ord> Evaluator<S> {
                         next: ctx.config[v].clone(),
                         old_idx,
                         new_idx: old_idx,
+                        coords: ctx.factored.map_or(NO_COORDS, |(_, coords)| coords[v]),
                         changed: false,
                         output_changed: false,
                     };
                 }
             }
         }
+        if let Some((factored, coords)) = ctx.factored {
+            return self.evaluate_factored(ctx, factored, coords, v);
+        }
         match ctx.sensing {
             Some(sensing) => self.evaluate_dense(ctx, sensing, v),
             None => self.evaluate_sparse(ctx, v),
+        }
+    }
+
+    /// Factored path: the transition reads the closed neighbourhood's
+    /// coordinates, and only a changed node materializes its next state.
+    fn evaluate_factored<A>(
+        &mut self,
+        ctx: &EvalCtx<'_, A>,
+        factored: &dyn FactoredTransition<S>,
+        coords: &[Coords],
+        v: NodeId,
+    ) -> PendingUpdate<S>
+    where
+        A: Algorithm<State = S>,
+    {
+        let mut rng = CounterRng::keyed(ctx.seed, v as u64, ctx.time);
+        let (next, next_coords, changed) =
+            match factored.next_coords(ctx.graph, v, coords, &mut self.pool, &mut rng) {
+                FactoredOutcome::Coords(next) if next == coords[v] => {
+                    (ctx.config[v].clone(), next, false)
+                }
+                FactoredOutcome::Coords(next) => (factored.state(next), next, true),
+                // A state outside the palettes cannot equal the current
+                // (inside) one: always a change.
+                FactoredOutcome::Escaped(next) => (next, NO_COORDS, true),
+            };
+        let output_changed = changed && ctx.alg.output(&next) != ctx.alg.output(&ctx.config[v]);
+        PendingUpdate {
+            v,
+            next,
+            old_idx: UNINDEXED,
+            new_idx: UNINDEXED,
+            coords: next_coords,
+            changed,
+            output_changed,
         }
     }
 
@@ -205,7 +261,7 @@ impl<S: Clone + Ord> Evaluator<S> {
         let mask = sensing.mask_of(v);
         if let Some(masked) = ctx.masked {
             let mut rng = CounterRng::keyed(ctx.seed, v as u64, ctx.time);
-            return match masked.next_index(si, mask, &mut rng) {
+            return match masked.next_index(si, mask, &mut self.pool, &mut rng) {
                 MaskedOutcome::Indexed(new_idx) => {
                     let changed = new_idx != si;
                     let next = sensing.index.state(new_idx as usize).clone();
@@ -216,6 +272,7 @@ impl<S: Clone + Ord> Evaluator<S> {
                         next,
                         old_idx: si,
                         new_idx,
+                        coords: NO_COORDS,
                         changed,
                         output_changed,
                     }
@@ -229,6 +286,7 @@ impl<S: Clone + Ord> Evaluator<S> {
                         next,
                         old_idx: si,
                         new_idx: UNINDEXED,
+                        coords: NO_COORDS,
                         changed: true,
                         output_changed,
                     }
@@ -248,6 +306,7 @@ impl<S: Clone + Ord> Evaluator<S> {
                     next: entry.next.clone(),
                     old_idx: si,
                     new_idx: entry.next_idx,
+                    coords: NO_COORDS,
                     changed: entry.next_idx != si,
                     output_changed: entry.output_changed,
                 };
@@ -294,6 +353,7 @@ impl<S: Clone + Ord> Evaluator<S> {
             next,
             old_idx: si,
             new_idx,
+            coords: NO_COORDS,
             changed,
             output_changed,
         }
@@ -343,7 +403,7 @@ impl<S: Clone + Ord> Evaluator<S> {
                     // the sparse path too.
                     let next = if let Some(masked) = ctx.masked {
                         let words = self.scratch.dense_words().expect("scratch stayed dense");
-                        match masked.next_index(si, words, &mut rng) {
+                        match masked.next_index(si, words, &mut self.pool, &mut rng) {
                             MaskedOutcome::Indexed(new_idx) => {
                                 index.state(new_idx as usize).clone()
                             }
@@ -360,6 +420,7 @@ impl<S: Clone + Ord> Evaluator<S> {
                         next,
                         old_idx: UNINDEXED,
                         new_idx: UNINDEXED,
+                        coords: NO_COORDS,
                         changed,
                         output_changed,
                     };
@@ -393,6 +454,7 @@ impl<S: Clone + Ord> Evaluator<S> {
             next,
             old_idx: UNINDEXED,
             new_idx: UNINDEXED,
+            coords: NO_COORDS,
             changed,
             output_changed,
         }

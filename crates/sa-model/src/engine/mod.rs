@@ -49,7 +49,7 @@ pub use sense::MAX_DENSE_STATES;
 pub use serial::SerialEngine;
 pub use sharded::ShardedEngine;
 
-use crate::algorithm::{Algorithm, MaskedTransition};
+use crate::algorithm::{Algorithm, Coords, FactoredTransition, MaskedTransition};
 use crate::graph::{Graph, NodeId};
 use crate::signal::StateIndex;
 use frontier::DirtyFrontier;
@@ -94,6 +94,10 @@ pub struct EvalCtx<'e, A: Algorithm> {
     /// The algorithm's mask-compiled transition, if any (and not disabled
     /// through the builder).
     pub(crate) masked: Option<&'e (dyn MaskedTransition<A::State> + 'e)>,
+    /// The algorithm's factored transition and every node's coordinates,
+    /// while every state lies inside the palettes (and the builder did not
+    /// disable compiled transitions).
+    pub(crate) factored: Option<(&'e (dyn FactoredTransition<A::State> + 'e), &'e [Coords])>,
     /// The active-set dirty frontier, `None` when active-set execution is
     /// off (randomized algorithm, or the builder disabled it). When present, the evaluate stage skips clean activated
     /// nodes — their deterministic transition is provably the identity — and
@@ -112,6 +116,8 @@ pub struct ApplyCtx<'e, A: Algorithm> {
     pub(crate) graph: &'e Graph,
     pub(crate) config: &'e mut [A::State],
     pub(crate) sensing: Option<&'e mut DenseSensing<A::State>>,
+    /// The nodes' factored coordinates, while the factored path is live.
+    pub(crate) coords: Option<&'e mut [Coords]>,
     pub(crate) last_changed: &'e mut Vec<NodeId>,
 }
 

@@ -117,6 +117,7 @@ impl<A: Algorithm> StepEngine<A> for ShardedEngine<A::State> {
             graph,
             config,
             sensing,
+            coords,
             last_changed,
         } = ctx;
         match sensing {
@@ -125,9 +126,11 @@ impl<A: Algorithm> StepEngine<A> for ShardedEngine<A::State> {
                     && updates.iter().filter(|u| u.changed).count()
                         >= SHARDED_APPLY_MIN_CHANGED =>
             {
+                // The factored path only runs without a dense index.
+                debug_assert!(coords.is_none());
                 apply::commit_sharded(updates, graph, config, sensing, last_changed, &self.pool);
             }
-            sensing => apply::commit(updates, graph, config, sensing, last_changed),
+            sensing => apply::commit(updates, graph, config, sensing, coords, last_changed),
         }
     }
 

@@ -26,11 +26,13 @@
 //! introduced earlier: dense bitmask signals over a precomputed
 //! [`StateIndex`] with transparent sparse
 //! fallback, per-lane transition memoization for deterministic algorithms, a
-//! uniform-configuration bulk fast path, and buffer reuse throughout — the
-//! warm step loop performs **zero heap allocations** (tracing off), on both
-//! engines.
+//! uniform-configuration bulk fast path, per-node palette coordinates for
+//! factored state spaces ([`Algorithm::compile_factored`]), and buffer reuse
+//! throughout — the warm step loop performs **zero heap allocations**
+//! (tracing off), on both engines.
 
-use crate::algorithm::{Algorithm, LegitimacyOracle, MaskedTransition};
+use crate::algorithm::{Algorithm, Coords, FactoredTransition, LegitimacyOracle, MaskedTransition};
+use crate::engine::evaluate::NO_COORDS;
 use crate::engine::frontier::DirtyFrontier;
 use crate::engine::sense::{DenseSensing, UNINDEXED};
 use crate::engine::{
@@ -139,6 +141,12 @@ pub struct Execution<'a, A: Algorithm> {
     /// The algorithm's mask-compiled transition (see
     /// [`Algorithm::compile_masked`]), `None` on the closure path.
     masked: Option<Box<dyn MaskedTransition<A::State> + 'a>>,
+    /// The algorithm's factored transition (see
+    /// [`Algorithm::compile_factored`]), `None` on the closure path.
+    factored: Option<Box<dyn FactoredTransition<A::State> + 'a>>,
+    /// Every node's coordinates under `factored`: `Some` while every state
+    /// lies inside its palettes, `None` on the closure fallback.
+    coords: Option<Vec<Coords>>,
     /// The active-set dirty frontier (see [`crate::engine::frontier`]):
     /// `Some` for deterministic algorithms unless the builder disabled it.
     /// Skipping is observationally invisible — the trajectory, counters and
@@ -211,11 +219,14 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             (_, SignalMode::Sparse) | (None, _) => None,
             (Some(index), SignalMode::Auto) => DenseSensing::build(index.clone(), graph, &initial),
         };
-        let masked = if masked {
-            index.as_ref().and_then(|ix| algorithm.compile_masked(ix))
-        } else {
-            None
+        // Compiled transitions: masks over the dense index, or the factored
+        // path for a space too large to index.
+        let (masked, factored) = match (masked, &index) {
+            (false, _) => (None, None),
+            (true, Some(ix)) => (algorithm.compile_masked(ix), None),
+            (true, None) => (None, algorithm.compile_factored()),
         };
+        let coords = factored.as_deref().and_then(|f| factor(f, &initial));
         let deterministic = algorithm.transition_is_deterministic();
         // Randomized transitions can never be skipped (a fresh coin stream
         // may change the state even on an unchanged signal), so the frontier
@@ -242,6 +253,8 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             sensing,
             index,
             masked,
+            factored,
+            coords,
             dirty,
             batch_min_changed: (n * n / (2 * graph.edge_count() + n)).max(2),
             deterministic,
@@ -309,6 +322,13 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// path (word-level predicates) rather than the closure path.
     pub fn uses_masked_transitions(&self) -> bool {
         self.masked.is_some()
+    }
+
+    /// Whether transitions evaluate through the algorithm's factored path
+    /// (per-node palette coordinates, see
+    /// [`Algorithm::compile_factored`]) rather than the closure path.
+    pub fn uses_factored_transitions(&self) -> bool {
+        self.coords.is_some()
     }
 
     /// Whether active-set (dirty-frontier) execution is live: clean
@@ -410,11 +430,17 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     }
 
     /// Recomputes the dense sense stage's counts, masks and state indices
-    /// from scratch and checks them against the incrementally maintained
-    /// ones. Returns `true` when they agree (or when the sparse fallback is
-    /// active, which maintains no incremental state). Exposed for property
-    /// tests and debugging.
+    /// — and, on the factored path, the nodes' coordinates — from scratch
+    /// and checks them against the incrementally maintained ones. Returns
+    /// `true` when they agree (or when the sparse fallback is active, which
+    /// maintains no incremental state). Exposed for property tests and
+    /// debugging.
     pub fn validate_incremental_sensing(&self) -> bool {
+        if let (Some(factored), Some(coords)) = (self.factored.as_deref(), &self.coords) {
+            if factor(factored, &self.config).as_ref() != Some(coords) {
+                return false;
+            }
+        }
         match &self.sensing {
             None => true,
             Some(sensing) => {
@@ -500,6 +526,10 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         } else {
             None
         };
+        self.coords = self
+            .factored
+            .as_deref()
+            .and_then(|f| factor(f, &self.config));
         // The dense index the per-lane memo/scratch caches referred to is
         // gone; flush them regardless of the restored representation.
         self.engine.on_degrade();
@@ -528,6 +558,19 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             Some(sensing) => sensing.index().position(&state).map(|i| i as u32),
             None => None,
         };
+        let left_palettes = match (self.factored.as_deref(), self.coords.as_mut()) {
+            (Some(factored), Some(coords)) => match factored.coords(&state) {
+                Some(c) => {
+                    coords[v] = c;
+                    false
+                }
+                None => true,
+            },
+            _ => false,
+        };
+        if left_palettes {
+            self.coords = None;
+        }
         self.config[v] = state;
         if let Some(dirty) = self.dirty.as_mut() {
             dirty.mark_closed_neighborhood(graph, v);
@@ -627,6 +670,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
                 sensing: self.sensing.as_ref(),
                 index: self.index.as_ref(),
                 masked: self.masked.as_deref(),
+                factored: self.factored.as_deref().zip(self.coords.as_deref()),
                 dirty: self.dirty.as_ref(),
                 deterministic: self.deterministic,
                 seed: self.seed,
@@ -697,6 +741,11 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         if dense && batch.is_none() && updates.iter().any(|u| u.changed && u.new_idx == UNINDEXED) {
             self.degrade_to_sparse();
         }
+        // Likewise, a transition out of the factored palettes drops the
+        // coordinates: the closure path takes over.
+        if self.coords.is_some() && updates.iter().any(|u| u.changed && u.coords == NO_COORDS) {
+            self.coords = None;
+        }
 
         // APPLY: commit simultaneously (and update the incremental sensing
         // state for nodes that actually changed) — in bulk for a detected
@@ -716,6 +765,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
                     graph: self.graph,
                     config: &mut self.config,
                     sensing: self.sensing.as_mut(),
+                    coords: self.coords.as_deref_mut(),
                     last_changed: &mut self.last_changed,
                 },
                 &mut updates,
@@ -769,6 +819,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
                 sensing: self.sensing.as_ref(),
                 index: self.index.as_ref(),
                 masked: self.masked.as_deref(),
+                factored: self.factored.as_deref().zip(self.coords.as_deref()),
                 dirty: self.dirty.as_ref(),
                 deterministic: self.deterministic,
                 seed: self.seed,
@@ -946,6 +997,12 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     }
 }
 
+/// Every node's coordinates under `factored`, or `None` if some state lies
+/// outside its palettes.
+fn factor<S>(factored: &dyn FactoredTransition<S>, config: &[S]) -> Option<Vec<Coords>> {
+    config.iter().map(|s| factored.coords(s)).collect()
+}
+
 /// Builder for [`Execution`] supporting random initial configurations, tracing,
 /// signal-engine and step-engine selection.
 pub struct ExecutionBuilder<'a, A: Algorithm> {
@@ -1001,10 +1058,11 @@ impl<'a, A: Algorithm> ExecutionBuilder<'a, A> {
         self
     }
 
-    /// Enables or disables the algorithm's mask-compiled transition path
-    /// (see [`Algorithm::compile_masked`]). The default is enabled;
-    /// disabling forces the closure path, which benchmarks and the
-    /// differential tests use as the baseline. Both paths produce
+    /// Enables or disables the algorithm's compiled transition paths, the
+    /// mask-compiled one (see [`Algorithm::compile_masked`]) and the
+    /// factored one (see [`Algorithm::compile_factored`]). The default is
+    /// enabled; disabling forces the closure path, which benchmarks and the
+    /// differential tests use as the baseline. Both settings produce
     /// bit-identical executions.
     pub fn masked_transitions(mut self, enabled: bool) -> Self {
         self.masked = enabled;

@@ -85,7 +85,8 @@ pub mod trace;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::algorithm::{
-        Algorithm, LegitimacyOracle, MaskedOutcome, MaskedTransition, StateSpace,
+        Algorithm, Coords, FactoredOutcome, FactoredTransition, LegitimacyOracle, MaskedOutcome,
+        MaskedTransition, StateSpace,
     };
     pub use crate::checker::{StabilizationReport, TaskChecker};
     pub use crate::engine::EngineKind;
@@ -97,14 +98,17 @@ pub mod prelude {
         ActivationSet, AdversarialLaggardScheduler, CentralScheduler, RoundRobinScheduler,
         Scheduler, ScriptedScheduler, SynchronousScheduler, UniformRandomScheduler,
     };
-    pub use crate::signal::{DenseSignal, Signal, SignalMask, StateIndex};
+    pub use crate::signal::{DenseSignal, Signal, SignalMask, StateIndex, WordPool};
     pub use crate::snapshot::ExecutionSnapshot;
     pub use crate::topology::Topology;
 }
 
-pub use algorithm::{Algorithm, LegitimacyOracle, MaskedOutcome, MaskedTransition, StateSpace};
+pub use algorithm::{
+    Algorithm, Coords, FactoredOutcome, FactoredTransition, LegitimacyOracle, MaskedOutcome,
+    MaskedTransition, StateSpace,
+};
 pub use engine::EngineKind;
 pub use executor::{Execution, ExecutionBuilder, SignalMode};
 pub use graph::{Graph, NodeId};
 pub use scheduler::{ActivationSet, Scheduler};
-pub use signal::{DenseSignal, Signal, SignalMask, StateIndex};
+pub use signal::{DenseSignal, Signal, SignalMask, StateIndex, WordPool};

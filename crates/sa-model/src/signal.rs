@@ -8,7 +8,7 @@
 //!
 //! [`Signal`] is the abstraction handed to
 //! [`Algorithm::transition`](crate::algorithm::Algorithm::transition). It has
-//! two interchangeable
+//! three interchangeable
 //! representations with identical observable behaviour:
 //!
 //! * **sparse** — a `BTreeSet` of the sensed states. Works for any state type,
@@ -20,8 +20,13 @@
 //!   bit `i` is set iff state `index.state(i)` is sensed. The executor keeps
 //!   per-node bitmasks incrementally up to date and copies them into a reused
 //!   scratch [`Signal`], making the hot step loop allocation-free.
+//! * **listed** — the sorted positions of the sensed states in a
+//!   [`StateIndex`] ([`Signal::listed`]). A closed neighbourhood senses at
+//!   most `deg + 1` states, so over a large index (the synchronizer's
+//!   simulated signal, thousands of states) a short list is far cheaper to
+//!   build and scan than the mask words.
 //!
-//! The two representations compare equal whenever they sense the same state
+//! The representations compare equal whenever they sense the same state
 //! set, so algorithms and tests never need to care which one they were given.
 
 use std::collections::BTreeSet;
@@ -80,6 +85,41 @@ pub mod mask_ops {
             .iter()
             .rposition(|w| *w != 0)
             .map(|i| i * 64 + 63 - words[i].leading_zeros() as usize)
+    }
+
+    /// Sets bit `i`.
+    #[inline]
+    pub fn set(words: &mut [u64], i: usize) {
+        words[i / 64] |= 1u64 << (i % 64);
+    }
+}
+
+/// A pool of reusable `u64` buffers — mask words or listed positions: the
+/// scratch space of compiled transitions that build derived signals (the
+/// synchronizer's turn mask and simulated signal, module Restart's host
+/// signal).
+///
+/// Each evaluation lane owns one pool, and a transition returns every
+/// buffer it takes, so once each buffer has grown to its largest use the
+/// warm step loop allocates nothing.
+#[derive(Debug, Default)]
+pub struct WordPool {
+    free: Vec<Vec<u64>>,
+}
+
+impl WordPool {
+    /// A zeroed buffer of `words` words (`0` for an empty list to push
+    /// positions onto).
+    pub fn take(&mut self, words: usize) -> Vec<u64> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(words, 0);
+        buf
+    }
+
+    /// Returns a buffer taken with [`WordPool::take`].
+    pub fn give(&mut self, buf: Vec<u64>) {
+        self.free.push(buf);
     }
 }
 
@@ -312,22 +352,6 @@ impl<S: Ord> DenseSignal<S> {
         &self.mask
     }
 
-    /// Builds a dense signal from precomputed mask words, taking ownership
-    /// of the buffer (mask compilers use this to hand a projected signal to
-    /// an inner algorithm without an extra copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != index.words()`.
-    pub fn from_words(index: Arc<StateIndex<S>>, words: Vec<u64>) -> Self {
-        assert_eq!(
-            words.len(),
-            index.words(),
-            "mask word count must match the index"
-        );
-        DenseSignal { mask: words, index }
-    }
-
     /// Overwrites the mask from precomputed words (the executor's per-node
     /// neighborhood masks). `words` must have exactly `index.words()` entries.
     pub fn copy_words(&mut self, words: &[u64]) {
@@ -404,6 +428,11 @@ impl<'a, S: Ord> Iterator for DenseIter<'a, S> {
 enum Repr<S: Ord> {
     Sparse(BTreeSet<S>),
     Dense(DenseSignal<S>),
+    /// Sorted, deduplicated positions in `index`.
+    Listed {
+        index: Arc<StateIndex<S>>,
+        positions: Vec<u64>,
+    },
 }
 
 impl<S: Ord + Clone> Clone for Repr<S> {
@@ -411,6 +440,10 @@ impl<S: Ord + Clone> Clone for Repr<S> {
         match self {
             Repr::Sparse(set) => Repr::Sparse(set.clone()),
             Repr::Dense(dense) => Repr::Dense(dense.clone()),
+            Repr::Listed { index, positions } => Repr::Listed {
+                index: index.clone(),
+                positions: positions.clone(),
+            },
         }
     }
 }
@@ -486,18 +519,29 @@ impl<S: Ord> Signal<S> {
         }
     }
 
+    /// A listed signal sensing the states at `positions` of `index`, which
+    /// must be sorted, deduplicated and in range. The buffer comes back
+    /// through [`Signal::into_positions`].
+    pub fn listed(index: Arc<StateIndex<S>>, positions: Vec<u64>) -> Self {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(positions.last().is_none_or(|&p| (p as usize) < index.len()));
+        Signal {
+            repr: Repr::Listed { index, positions },
+        }
+    }
+
     /// Whether this signal uses the dense bitmask representation.
     pub fn is_dense(&self) -> bool {
         matches!(self.repr, Repr::Dense(_))
     }
 
-    /// The [`StateIndex`] a dense signal ranges over, `None` for sparse
+    /// The [`StateIndex`] a dense signal ranges over, `None` for other
     /// signals. Engines use this (with [`Arc::ptr_eq`]) to check whether a
     /// reused scratch signal still matches the execution's current index.
     pub fn dense_index(&self) -> Option<&Arc<StateIndex<S>>> {
         match &self.repr {
             Repr::Dense(dense) => Some(&dense.index),
-            Repr::Sparse(_) => None,
+            Repr::Sparse(_) | Repr::Listed { .. } => None,
         }
     }
 
@@ -505,11 +549,12 @@ impl<S: Ord> Signal<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the signal is sparse or `words` has the wrong length.
+    /// Panics if the signal is not dense or `words` has the wrong length.
     pub fn copy_dense_words(&mut self, words: &[u64]) {
         match &mut self.repr {
             Repr::Dense(dense) => dense.copy_words(words),
             Repr::Sparse(_) => panic!("copy_dense_words on a sparse signal"),
+            Repr::Listed { .. } => panic!("copy_dense_words on a listed signal"),
         }
     }
 
@@ -518,6 +563,9 @@ impl<S: Ord> Signal<S> {
         match &self.repr {
             Repr::Sparse(set) => set.contains(q),
             Repr::Dense(dense) => dense.senses(q),
+            Repr::Listed { index, positions } => index
+                .position(q)
+                .is_some_and(|i| positions.binary_search(&(i as u64)).is_ok()),
         }
     }
 
@@ -532,10 +580,15 @@ impl<S: Ord> Signal<S> {
     }
 
     /// Iterates over the sensed states in ascending order.
+    #[inline]
     pub fn iter(&self) -> SignalIter<'_, S> {
         match &self.repr {
             Repr::Sparse(set) => SignalIter::Sparse(set.iter()),
             Repr::Dense(dense) => SignalIter::Dense(dense.iter()),
+            Repr::Listed { index, positions } => SignalIter::Listed {
+                index,
+                positions: positions.iter(),
+            },
         }
     }
 
@@ -544,6 +597,7 @@ impl<S: Ord> Signal<S> {
         match &self.repr {
             Repr::Sparse(set) => set.len(),
             Repr::Dense(dense) => dense.len(),
+            Repr::Listed { positions, .. } => positions.len(),
         }
     }
 
@@ -552,6 +606,7 @@ impl<S: Ord> Signal<S> {
         match &self.repr {
             Repr::Sparse(set) => set.is_empty(),
             Repr::Dense(dense) => dense.is_empty(),
+            Repr::Listed { positions, .. } => positions.is_empty(),
         }
     }
 
@@ -561,6 +616,7 @@ impl<S: Ord> Signal<S> {
         match &mut self.repr {
             Repr::Sparse(set) => set.clear(),
             Repr::Dense(dense) => dense.mask.fill(0),
+            Repr::Listed { positions, .. } => positions.clear(),
         }
     }
 
@@ -574,6 +630,7 @@ impl<S: Ord> Signal<S> {
         match &mut self.repr {
             Repr::Dense(dense) => dense.set_bit(i),
             Repr::Sparse(_) => panic!("insert_dense_bit on a sparse signal"),
+            Repr::Listed { .. } => panic!("insert_dense_bit on a listed signal"),
         }
     }
 
@@ -593,6 +650,18 @@ impl<S: Ord> Signal<S> {
                 Some(i) => dense.set_bit(i),
                 None => {
                     let mut set: BTreeSet<S> = dense.iter().cloned().collect();
+                    set.insert(q);
+                    self.repr = Repr::Sparse(set);
+                }
+            },
+            Repr::Listed { index, positions } => match index.position(&q) {
+                Some(i) => {
+                    if let Err(at) = positions.binary_search(&(i as u64)) {
+                        positions.insert(at, i as u64);
+                    }
+                }
+                None => {
+                    let mut set: BTreeSet<S> = self.iter().cloned().collect();
                     set.insert(q);
                     self.repr = Repr::Sparse(set);
                 }
@@ -630,7 +699,16 @@ impl<S: Ord> Signal<S> {
     pub fn dense_words(&self) -> Option<&[u64]> {
         match &self.repr {
             Repr::Dense(dense) => Some(dense.words()),
-            Repr::Sparse(_) => None,
+            Repr::Sparse(_) | Repr::Listed { .. } => None,
+        }
+    }
+
+    /// Takes back the positions buffer of a listed signal (see
+    /// [`Signal::listed`]) for reuse, `None` for other signals.
+    pub fn into_positions(self) -> Option<Vec<u64>> {
+        match self.repr {
+            Repr::Listed { positions, .. } => Some(positions),
+            Repr::Sparse(_) | Repr::Dense(_) => None,
         }
     }
 
@@ -705,6 +783,9 @@ impl<S: Ord> Signal<S> {
         match &self.repr {
             Repr::Sparse(set) => set.first(),
             Repr::Dense(dense) => mask_ops::first_set(dense.words()).map(|i| dense.index.state(i)),
+            Repr::Listed { index, positions } => {
+                positions.first().map(|&i| index.state(i as usize))
+            }
         }
     }
 
@@ -714,6 +795,7 @@ impl<S: Ord> Signal<S> {
         match &self.repr {
             Repr::Sparse(set) => set.last(),
             Repr::Dense(dense) => mask_ops::last_set(dense.words()).map(|i| dense.index.state(i)),
+            Repr::Listed { index, positions } => positions.last().map(|&i| index.state(i as usize)),
         }
     }
 
@@ -736,15 +818,28 @@ pub enum SignalIter<'a, S: Ord> {
     Sparse(std::collections::btree_set::Iter<'a, S>),
     /// Iterating a dense signal.
     Dense(DenseIter<'a, S>),
+    /// Iterating a listed signal.
+    Listed {
+        /// The index the positions refer to.
+        index: &'a StateIndex<S>,
+        /// The remaining positions.
+        positions: std::slice::Iter<'a, u64>,
+    },
 }
 
 impl<'a, S: Ord> Iterator for SignalIter<'a, S> {
     type Item = &'a S;
 
+    // Inlined into the callers' loops (`senses_any`, `filter_map`, …), so
+    // the representation match is hoisted instead of paid per state.
+    #[inline]
     fn next(&mut self) -> Option<&'a S> {
         match self {
             SignalIter::Sparse(iter) => iter.next(),
             SignalIter::Dense(iter) => iter.next(),
+            SignalIter::Listed { index, positions } => {
+                positions.next().map(|&i| index.state(i as usize))
+            }
         }
     }
 }
@@ -1078,5 +1173,42 @@ mod tests {
         sig.insert(65);
         assert_eq!(sig.dense_words(), Some(&[0u64, 0b10][..]));
         assert_eq!(Signal::<u32>::empty().dense_words(), None);
+    }
+
+    #[test]
+    fn listed_signals_behave_like_sparse_ones() {
+        let index = index_0_to_99();
+        let mut listed = Signal::listed(index.clone(), vec![3, 17, 64]);
+        let sparse = Signal::from_states([3u32, 17, 64]);
+        assert_eq!(listed, sparse);
+        assert!(!listed.is_dense());
+        assert_eq!(listed.dense_index(), None);
+        assert_eq!(listed.dense_words(), None);
+        assert_eq!(listed.len(), 3);
+        assert!(listed.senses(&17) && !listed.senses(&18) && !listed.senses(&500));
+        assert_eq!(
+            (listed.min_state(), listed.max_state()),
+            (Some(&3), Some(&64))
+        );
+        let mask = SignalMask::from_states(&index, [&17u32, &40]);
+        assert!(listed.intersects(&mask) && !listed.subset_of(&mask));
+        // Inserting an indexed state keeps the list sorted; an unindexed one
+        // degrades the signal to sparse, like a dense signal.
+        listed.insert(10);
+        assert_eq!(listed.iter().copied().collect::<Vec<_>>(), [3, 10, 17, 64]);
+        let buffer = listed.clone().into_positions();
+        assert_eq!(buffer, Some(vec![3, 10, 17, 64]));
+        listed.insert(500);
+        assert_eq!(listed, Signal::from_states([3u32, 10, 17, 64, 500]));
+        assert_eq!(listed.into_positions(), None);
+    }
+
+    #[test]
+    fn word_pool_hands_out_zeroed_buffers() {
+        let mut pool = WordPool::default();
+        let mut buf = pool.take(3);
+        buf[1] = 7;
+        pool.give(buf);
+        assert_eq!(pool.take(2), vec![0, 0]);
     }
 }

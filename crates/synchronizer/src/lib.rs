@@ -20,6 +20,22 @@
 //! The headline applications are the **asynchronous** self-stabilizing LE and MIS
 //! algorithms obtained by transforming AlgLE and AlgMIS ([`async_le`], [`async_mis`]).
 //!
+//! ## Execution
+//!
+//! Each coordinate of a `Π*` state is thin — `|T| = 12D + 6` turns, and the
+//! inner space `Q` of AlgLE or AlgMIS has a few thousand states — but the
+//! product `|Q|²·|T|` is millions of states already at `D = 1`, far past
+//! any dense index. So [`Synchronized`] offers the executor a *factored*
+//! transition ([`Algorithm::compile_factored`]) instead: each node's
+//! `(q, q′, ν)` is three palette indices, an activation runs AlgAU's
+//! compiled turn masks on the turn indices of its closed neighbourhood,
+//! and only a clock advance gathers the simulated signal — as the sorted
+//! positions of the sensed inner states — for the inner algorithm's own
+//! compiled transition (module Restart's, for AlgLE and AlgMIS). Every
+//! state, output and coin equals [`Synchronized::transition`], the closure
+//! path, which stays as the reference the lockstep tests run against and
+//! as the path of `sa verify`'s explorer.
+//!
 //! ## Example
 //!
 //! ```
@@ -42,10 +58,13 @@
 #![warn(missing_docs)]
 
 use rand::RngCore;
-use sa_model::algorithm::{Algorithm, MaskedOutcome, MaskedTransition, StateSpace};
+use sa_model::algorithm::{
+    Algorithm, Coords, FactoredOutcome, FactoredTransition, MaskedOutcome, MaskedTransition,
+    StateSpace,
+};
 use sa_model::checker::TaskChecker;
-use sa_model::graph::Graph;
-use sa_model::signal::{mask_ops, DenseSignal, Signal, StateIndex};
+use sa_model::graph::{Graph, NodeId};
+use sa_model::signal::{mask_ops, Signal, StateIndex, WordPool};
 use sa_protocols::le::LeChecker;
 use sa_protocols::mis::MisChecker;
 use sa_protocols::{alg_le, alg_mis, AlgLe, AlgMis};
@@ -66,25 +85,51 @@ pub struct SyncState<S> {
 }
 
 /// The synchronizer transform `Π ↦ Π*` applied to an inner algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Synchronized<A> {
+#[derive(Clone)]
+pub struct Synchronized<A: Algorithm> {
     inner: A,
     unison: AlgAu,
+    /// The inner state space `Q`, sorted, when `Π` enumerates it
+    /// ([`Algorithm::dense_state_space`]): the palette of the factored
+    /// path's `q` and `q′` coordinates, built once and shared by every
+    /// execution and evaluation lane.
+    inner_index: Option<Arc<StateIndex<A::State>>>,
+}
+
+impl<A: Algorithm + std::fmt::Debug> std::fmt::Debug for Synchronized<A> {
+    /// The inner index is derived from `inner`, and thousands of states
+    /// long: it is left out.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Synchronized")
+            .field("inner", &self.inner)
+            .field("unison", &self.unison)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<A: Algorithm> Synchronized<A> {
     /// Wraps `inner` (a synchronous self-stabilizing algorithm for `D`-bounded
     /// diameter graphs) with the AlgAU-based synchronizer for the same bound.
     pub fn new(inner: A, diameter_bound: usize) -> Self {
+        let inner_index = inner
+            .dense_state_space()
+            .map(|states| Arc::new(StateIndex::new(states)));
         Synchronized {
             inner,
             unison: AlgAu::new(diameter_bound),
+            inner_index,
         }
     }
 
     /// The wrapped synchronous algorithm `Π`.
     pub fn inner(&self) -> &A {
         &self.inner
+    }
+
+    /// The sorted inner state space `Q` the factored path indexes the
+    /// simulated states by, `None` when `Π` does not enumerate it.
+    pub fn inner_index(&self) -> Option<&Arc<StateIndex<A::State>>> {
+        self.inner_index.as_ref()
     }
 
     /// The AlgAU instance driving the simulated rounds.
@@ -176,48 +221,15 @@ impl<A: Algorithm> Algorithm for Synchronized<A> {
         }
     }
 
-    fn dense_state_space(&self) -> Option<Vec<Self::State>> {
-        // The composite space is |Q|² · |T| (Corollary 1.2), which explodes
-        // quickly; enumerate it only while it stays small enough for the
-        // executor's dense engine to accept, and let the size check run
-        // *before* materializing the product.
-        use sa_model::algorithm::StateSpace as _;
-        let inner = self.inner.dense_state_space()?;
-        let turns = self.unison.states();
-        let count = inner
-            .len()
-            .checked_mul(inner.len())?
-            .checked_mul(turns.len())?;
-        if count > sa_model::executor::MAX_DENSE_STATES {
-            return None;
-        }
-        let mut states = Vec::with_capacity(count);
-        for current in &inner {
-            for previous in &inner {
-                for turn in &turns {
-                    states.push(SyncState {
-                        current: current.clone(),
-                        previous: previous.clone(),
-                        turn: *turn,
-                    });
-                }
-            }
-        }
-        Some(states)
-    }
-
     fn transition_is_deterministic(&self) -> bool {
         // The unison coordinate (AlgAU) is deterministic; the composite is a
         // pure function of (state, signal) whenever the inner algorithm is.
         self.inner.transition_is_deterministic()
     }
 
-    fn compile_masked<'s>(
-        &'s self,
-        index: &Arc<StateIndex<SyncState<A::State>>>,
-    ) -> Option<Box<dyn MaskedTransition<SyncState<A::State>> + 's>> {
-        SyncMasks::build(self, index)
-            .map(|m| Box::new(m) as Box<dyn MaskedTransition<SyncState<A::State>> + 's>)
+    fn compile_factored(&self) -> Option<Box<dyn FactoredTransition<Self::State> + '_>> {
+        SyncFactored::build(self)
+            .map(|f| Box::new(f) as Box<dyn FactoredTransition<Self::State> + '_>)
     }
 
     fn name(&self) -> &'static str {
@@ -225,233 +237,151 @@ impl<A: Algorithm> Algorithm for Synchronized<A> {
     }
 }
 
-/// Sentinel marking "this rule does not apply to this turn".
-const NO_RULE: u32 = u32::MAX;
-
-/// The mask-compiled transition of a [`Synchronized`] composite (active
-/// whenever the product space `|Q|² · |T|` fits the executor's dense limit).
+/// The factored transition of a [`Synchronized`] composite: each node's
+/// `(q, q′, ν)` as three palette indices — `q` and `q′` into the sorted
+/// inner space, `ν` into AlgAU's sorted turns.
 ///
-/// Every AlgAU condition on the turn coordinate is a per-sensed-state
-/// predicate of the *composite* states' turn components, so it compiles to
-/// word-level subset / intersection masks over the composite index — keyed
-/// by the node's own turn only, `|T|` rows instead of `|Q|²·|T|`. On a clock
-/// advance (type AA), the *simulated signal* is recovered with precompiled
-/// **projection masks**: for the own turn `ν` and each inner state `r`,
-/// `proj[ν][r]` holds the composite states of the form `(r, ·, ν)` or
-/// `(·, r, ν′)` — one intersection test per inner state builds the simulated
-/// `{0,1}^Q` vector directly as a dense inner signal, replacing the closure
-/// path's two `BTreeSet`-allocating `map`/`filter_map` passes. The inner
-/// transition itself then runs unchanged (same values, same RNG stream), so
-/// randomized inner algorithms keep coin-stream parity.
-///
-/// The composite index layout is verified at compile time (sorted product =
-/// lexicographic `(current, previous, turn)`), which makes the state
-/// arithmetic `idx = (ci·|Q| + pi)·|T| + ti` exact.
-struct SyncMasks<'a, A: Algorithm> {
-    sync: &'a Synchronized<A>,
+/// An activation ORs the turn coordinates of its closed neighbourhood into
+/// a turn mask and runs AlgAU's own compiled masks on it (the
+/// [`AlgAu::turn_rule`] table). Only on a clock advance `ν → ν′` does it
+/// gather the simulated signal: the `q` of each neighbour at `ν` and the
+/// `q′` of each neighbour at `ν′`, as sorted positions in the inner space
+/// (at most `deg + 1` of them, against thousands of inner states). The
+/// inner algorithm then runs on that list — through its own masks when it
+/// compiles them (module Restart does), else through
+/// [`Algorithm::transition`] on a listed signal — with the node's coin
+/// stream, so every state, output and coin matches
+/// [`Synchronized::transition`].
+struct SyncFactored<'a, A: Algorithm> {
+    inner: &'a A,
     inner_index: Arc<StateIndex<A::State>>,
-    turns: Vec<Turn>,
-    /// `|T|`, `|Q|`, composite words, inner words.
-    t: usize,
-    qi: usize,
-    words: usize,
-    inner_words: usize,
-    /// Per-turn rule data (`ti`-indexed rows of `words` each).
-    able: Vec<bool>,
-    aa_allowed: Vec<u64>,
-    protected: Vec<u64>,
-    af_trigger: Vec<u64>,
-    fa_block: Vec<u64>,
-    aa_next: Vec<u32>,
-    af_next: Vec<u32>,
-    fa_next: Vec<u32>,
-    /// Projection masks: row `ti * qi + ri` marks the composite states that
-    /// contribute inner state `ri` to the simulated signal of a node whose
-    /// own turn is `turns[ti]` (able turns only; other rows stay empty).
-    proj: Vec<u64>,
+    inner_masks: Option<Box<dyn MaskedTransition<A::State> + 'a>>,
+    turn_index: Arc<StateIndex<Turn>>,
+    turn_masks: Box<dyn MaskedTransition<Turn> + 'a>,
+    /// Per turn coordinate: the coordinate of its AA successor, `u32::MAX`
+    /// for faulty turns. A turn rule landing there is a clock advance.
+    advance: Vec<u32>,
 }
 
-impl<'a, A: Algorithm> SyncMasks<'a, A> {
-    fn build(
-        sync: &'a Synchronized<A>,
-        index: &Arc<StateIndex<SyncState<A::State>>>,
-    ) -> Option<Self> {
-        let inner_states = sync.inner.dense_state_space()?;
-        let inner_index = Arc::new(StateIndex::new(inner_states));
-        let mut turns = StateSpace::states(&sync.unison);
-        turns.sort_unstable();
-        turns.dedup();
-        let (qi, t) = (inner_index.len(), turns.len());
-        if qi == 0 || t == 0 || index.len() != qi.checked_mul(qi)?.checked_mul(t)? {
-            return None;
-        }
-        // Verify the sorted-product layout the state arithmetic relies on:
-        // index position i ⟺ (current, previous, turn) digits of i in mixed
-        // radix (qi, qi, t). `SyncState`'s derived lexicographic `Ord` makes
-        // this hold whenever the index is the sorted product, but check —
-        // never guess.
-        for (i, state) in index.states().iter().enumerate() {
-            let (ci, pi, ti) = (i / (t * qi), (i / t) % qi, i % t);
-            if state.current != *inner_index.state(ci)
-                || state.previous != *inner_index.state(pi)
-                || state.turn != turns[ti]
-            {
-                return None;
-            }
-        }
-        let words = index.words();
-        let len = index.len();
-        let mut able = vec![false; t];
-        let mut aa_allowed = vec![0u64; t * words];
-        let mut protected = vec![0u64; t * words];
-        let mut af_trigger = vec![0u64; t * words];
-        let mut fa_block = vec![0u64; t * words];
-        let mut aa_next = vec![NO_RULE; t];
-        let mut af_next = vec![NO_RULE; t];
-        let mut fa_next = vec![NO_RULE; t];
-        let mut proj = vec![0u64; t * qi * words];
-        let turn_pos = |turn: &Turn| turns.binary_search(turn).ok().map(|p| p as u32);
-        // Marks every composite state carrying `member` as its turn in row
-        // `ti` of `table`. A member that is not an actual turn (e.g. the AF
-        // trigger `Faulty(±1)`) has no composite states and contributes no
-        // bit, matching the closure path's `senses`.
-        let set_for_turn = |table: &mut [u64], ti: usize, member: &Turn| {
-            if let Ok(tm) = turns.binary_search(member) {
-                for cp in 0..qi * qi {
-                    let j = cp * t + tm;
-                    table[ti * words + j / 64] |= 1u64 << (j % 64);
-                }
-            }
-        };
-        for ti in 0..t {
-            // The rule encoding is shared with AlgAU's own mask compiler
-            // (one source of truth for Table 1 besides `next_turn`).
-            let rule = sync.unison.turn_rule(turns[ti]);
-            able[ti] = turns[ti].is_able();
-            if let Some(next) = rule.aa_next {
-                aa_next[ti] = turn_pos(&next)?;
-                for member in &rule.aa_allowed {
-                    set_for_turn(&mut aa_allowed, ti, member);
-                }
-                // Projection rows for the AA simulated signal: a composite
-                // state (r, ·, ν) contributes its *current* coordinate,
-                // (·, r, ν′) its *previous* one.
-                let own = turns[ti];
-                for j in 0..len {
-                    let (cj, pj, tj) = (j / (t * qi), (j / t) % qi, j % t);
-                    let contributes = if turns[tj] == own {
-                        Some(cj)
-                    } else if turns[tj] == next {
-                        Some(pj)
-                    } else {
-                        None
-                    };
-                    if let Some(ri) = contributes {
-                        proj[(ti * qi + ri) * words + j / 64] |= 1u64 << (j % 64);
-                    }
-                }
-            }
-            if let Some(next) = rule.af_next {
-                af_next[ti] = turn_pos(&next)?;
-                for member in &rule.protected {
-                    set_for_turn(&mut protected, ti, member);
-                }
-                for member in &rule.af_trigger {
-                    set_for_turn(&mut af_trigger, ti, member);
-                }
-            }
-            if let Some(next) = rule.fa_next {
-                fa_next[ti] = turn_pos(&next)?;
-                for member in &rule.fa_block {
-                    set_for_turn(&mut fa_block, ti, member);
-                }
-            }
-        }
-        Some(SyncMasks {
-            sync,
+impl<'a, A: Algorithm> SyncFactored<'a, A> {
+    /// Compiles the composite, or `None` when `Π` does not enumerate its
+    /// space.
+    fn build(sync: &'a Synchronized<A>) -> Option<Self> {
+        let inner_index = sync.inner_index.clone()?;
+        let turn_index = Arc::new(StateIndex::new(StateSpace::states(&sync.unison)));
+        let advance = turn_index
+            .states()
+            .iter()
+            .map(|&turn| {
+                sync.unison
+                    .turn_rule(turn)
+                    .aa_next
+                    .and_then(|next| turn_index.position(&next))
+                    .map_or(u32::MAX, |i| i as u32)
+            })
+            .collect();
+        Some(SyncFactored {
+            inner: &sync.inner,
+            inner_masks: sync.inner.compile_masked(&inner_index),
+            turn_masks: sync.unison.compile_masked(&turn_index)?,
             inner_index,
-            turns,
-            t,
-            qi,
-            words,
-            inner_words: qi.div_ceil(64),
-            able,
-            aa_allowed,
-            protected,
-            af_trigger,
-            fa_block,
-            aa_next,
-            af_next,
-            fa_next,
-            proj,
+            turn_index,
+            advance,
         })
     }
 
-    #[inline]
-    fn row<'t>(&self, table: &'t [u64], ti: usize) -> &'t [u64] {
-        &table[ti * self.words..(ti + 1) * self.words]
-    }
-
-    /// Composite index of `(current = ci, previous = pi, turn = ti)`.
-    #[inline]
-    fn compose(&self, ci: usize, pi: usize, ti: u32) -> u32 {
-        ((ci * self.qi + pi) * self.t) as u32 + ti
+    /// One simulated synchronous step of `Π` from inner state `current` on
+    /// the simulated signal `sim` (sorted inner positions), as an inner
+    /// index position (or the escaped state).
+    fn inner_step(
+        &self,
+        current: u32,
+        sim: Vec<u64>,
+        scratch: &mut WordPool,
+        rng: &mut dyn RngCore,
+    ) -> MaskedOutcome<A::State> {
+        if let Some(masks) = &self.inner_masks {
+            let words = self.inner_index.words();
+            let outcome = masks.next_index_listed(current, &sim, words, scratch, rng);
+            scratch.give(sim);
+            return outcome;
+        }
+        let signal = Signal::listed(self.inner_index.clone(), sim);
+        let next = self
+            .inner
+            .transition(self.inner_index.state(current as usize), &signal, rng);
+        scratch.give(signal.into_positions().expect("the signal is listed"));
+        match self.inner_index.position(&next) {
+            Some(i) => MaskedOutcome::Indexed(i as u32),
+            None => MaskedOutcome::Escaped(next),
+        }
     }
 }
 
-impl<A: Algorithm> MaskedTransition<SyncState<A::State>> for SyncMasks<'_, A> {
-    fn next_index(
+impl<A: Algorithm> FactoredTransition<SyncState<A::State>> for SyncFactored<'_, A> {
+    fn coords(&self, state: &SyncState<A::State>) -> Option<Coords> {
+        Some([
+            self.inner_index.position(&state.current)? as u32,
+            self.inner_index.position(&state.previous)? as u32,
+            self.turn_index.position(&state.turn)? as u32,
+        ])
+    }
+
+    fn state(&self, [current, previous, turn]: Coords) -> SyncState<A::State> {
+        SyncState {
+            current: self.inner_index.state(current as usize).clone(),
+            previous: self.inner_index.state(previous as usize).clone(),
+            turn: *self.turn_index.state(turn as usize),
+        }
+    }
+
+    fn next_coords(
         &self,
-        state_idx: u32,
-        signal_words: &[u64],
+        graph: &Graph,
+        v: NodeId,
+        coords: &[Coords],
+        scratch: &mut WordPool,
         rng: &mut dyn RngCore,
-    ) -> MaskedOutcome<SyncState<A::State>> {
-        let si = state_idx as usize;
-        let (t, qi) = (self.t, self.qi);
-        let (ci, pi, ti) = (si / (t * qi), (si / t) % qi, si % t);
-        if !self.able[ti] {
-            // FA: complete the detour unless an outward level is sensed.
-            return if mask_ops::intersects(signal_words, self.row(&self.fa_block, ti)) {
-                MaskedOutcome::Indexed(state_idx)
-            } else {
-                MaskedOutcome::Indexed(self.compose(ci, pi, self.fa_next[ti]))
-            };
+    ) -> FactoredOutcome<SyncState<A::State>> {
+        let [current, previous, turn] = coords[v];
+        let neighborhood =
+            || std::iter::once(&coords[v]).chain(graph.neighbors(v).iter().map(|&u| &coords[u]));
+
+        // Run AlgAU on the turn coordinate.
+        let mut turns = scratch.take(self.turn_index.words());
+        for &[_, _, t] in neighborhood() {
+            mask_ops::set(&mut turns, t as usize);
         }
-        if mask_ops::subset(signal_words, self.row(&self.aa_allowed, ti)) {
-            // AA: the clock advances — run one simulated synchronous step of
-            // the inner algorithm on the projected signal.
-            let mut inner_bits = vec![0u64; self.inner_words];
-            for (ri, word) in (0..qi).map(|ri| (ri, ri / 64)) {
-                let proj_row = &self.proj[(ti * qi + ri) * self.words..][..self.words];
-                if mask_ops::intersects(signal_words, proj_row) {
-                    inner_bits[word] |= 1u64 << (ri % 64);
-                }
+        let next_turn = match self.turn_masks.next_index(turn, &turns, scratch, rng) {
+            MaskedOutcome::Indexed(t) => t,
+            MaskedOutcome::Escaped(_) => unreachable!("AlgAU never leaves its turns"),
+        };
+        scratch.give(turns);
+        if next_turn != self.advance[turn as usize] {
+            // The AU clock did not advance: the simulated Π-state is untouched.
+            return FactoredOutcome::Coords([current, previous, next_turn]);
+        }
+
+        // The clock advances ν → ν′: execute one simulated synchronous step
+        // of Π on the states sensed at ν (current) and at ν′ (previous).
+        let mut sim = scratch.take(0);
+        for &[c, p, t] in neighborhood() {
+            if t == turn {
+                sim.push(c.into());
+            } else if t == next_turn {
+                sim.push(p.into());
             }
-            // One buffer allocation per clock advance (the closure path
-            // allocates two `BTreeSet`s with per-state nodes instead).
-            let sim = Signal::from_dense(DenseSignal::from_words(
-                self.inner_index.clone(),
-                inner_bits,
-            ));
-            let current = self.inner_index.state(ci);
-            let next_inner = self.sync.inner.transition(current, &sim, rng);
-            let advanced = self.aa_next[ti];
-            return match self.inner_index.position(&next_inner) {
-                Some(nci) => MaskedOutcome::Indexed(self.compose(nci, ci, advanced)),
-                None => MaskedOutcome::Escaped(SyncState {
-                    current: next_inner,
-                    previous: current.clone(),
-                    turn: self.turns[advanced as usize],
-                }),
-            };
         }
-        if self.af_next[ti] != NO_RULE
-            && (!mask_ops::subset(signal_words, self.row(&self.protected, ti))
-                || mask_ops::intersects(signal_words, self.row(&self.af_trigger, ti)))
-        {
-            return MaskedOutcome::Indexed(self.compose(ci, pi, self.af_next[ti]));
+        sim.sort_unstable();
+        sim.dedup();
+        match self.inner_step(current, sim, scratch, rng) {
+            MaskedOutcome::Indexed(next) => FactoredOutcome::Coords([next, current, next_turn]),
+            MaskedOutcome::Escaped(next) => FactoredOutcome::Escaped(SyncState {
+                current: next,
+                previous: self.inner_index.state(current as usize).clone(),
+                turn: *self.turn_index.state(next_turn as usize),
+            }),
         }
-        MaskedOutcome::Indexed(state_idx)
     }
 }
 
@@ -833,9 +763,10 @@ mod tests {
         }
     }
 
-    /// A randomized inner algorithm with an enumerable space, so the
-    /// composite runs dense + mask-compiled. The coin consumption makes any
-    /// RNG-stream divergence between the masked and closure paths loud.
+    /// A randomized inner algorithm with an enumerable space and no masks of
+    /// its own, so the composite runs the factored path with the inner
+    /// closure on the simulated bits. The coin consumption makes any
+    /// RNG-stream divergence between the factored and closure paths loud.
     #[derive(Debug, Clone, Copy)]
     struct NoisyInner;
     impl Algorithm for NoisyInner {
@@ -857,8 +788,8 @@ mod tests {
         }
     }
 
-    /// The composite's mask-compiled path (turn masks + projection masks +
-    /// inner transition on the projected dense signal) must replay the
+    /// The composite's factored path (turn masks on the turn coordinates +
+    /// inner transition on the gathered simulated bits) must replay the
     /// closure path bit for bit — configurations, coins, counters — from
     /// adversarial starts, including through AlgAU detours.
     #[test]
@@ -880,9 +811,9 @@ mod tests {
                 .seed(seed)
                 .masked_transitions(false)
                 .initial(init);
-            assert!(masked.uses_dense_signals(), "product space fits dense");
-            assert!(masked.uses_masked_transitions());
-            assert!(!closure.uses_masked_transitions());
+            assert!(!masked.uses_dense_signals(), "the product is not indexed");
+            assert!(masked.uses_factored_transitions());
+            assert!(!closure.uses_factored_transitions());
             let mut sched_a = UniformRandomScheduler::new(0.6);
             let mut sched_b = UniformRandomScheduler::new(0.6);
             for step in 0..400 {
@@ -901,7 +832,8 @@ mod tests {
     }
 
     /// The deterministic composite (RoundCounter inner) also compiles; the
-    /// synchronous lockstep reduction must hold on the masked path.
+    /// synchronous lockstep reduction must hold on the factored path, with
+    /// the active set on.
     #[test]
     fn masked_composite_keeps_the_lockstep_reduction() {
         #[derive(Debug, Clone, Copy)]
@@ -931,12 +863,14 @@ mod tests {
             .seed(0)
             .masked_transitions(true)
             .uniform(sync.lift(0u8));
-        assert!(exec.uses_masked_transitions());
+        assert!(exec.uses_factored_transitions());
+        assert!(exec.uses_active_set());
         let mut sched = SynchronousScheduler;
         exec.run_rounds(&mut sched, 20);
         for s in exec.configuration() {
             assert_eq!(s.current, 20 % 7);
         }
+        assert!(exec.uses_factored_transitions());
         assert!(exec.validate_incremental_sensing());
     }
 

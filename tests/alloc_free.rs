@@ -4,7 +4,10 @@
 //! buffers are reused, and the transition memo rewrites its slots in place.
 //! The property holds on **both step engines**: the sharded engine's only
 //! allocations are its one-time pool spawn and the shard buffers' growth to
-//! steady-state capacity, all during construction/warm-up.
+//! steady-state capacity, all during construction/warm-up. It holds for the
+//! synchronizer composites (AlgLE, AlgMIS) too, on their factored path:
+//! coordinates in place of composite signals, pooled scratch buffers for
+//! the turn mask, the simulated signal and the host signal.
 //!
 //! Measured with a counting global allocator. This file deliberately contains
 //! a single `#[test]`: the counter is process-global, so concurrent tests in
@@ -15,9 +18,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use stone_age_unison::model::algorithm::StateSpace;
+use stone_age_unison::model::algorithm::{Algorithm, StateSpace};
 use stone_age_unison::model::prelude::*;
 use stone_age_unison::model::EngineKind;
+use stone_age_unison::synchronizer::{
+    async_le, async_mis, random_composite_configuration, Synchronized,
+};
 use stone_age_unison::unison::{AlgAu, Turn};
 
 mod common;
@@ -276,6 +282,48 @@ fn warm_step_loop_allocates_nothing() {
             0,
             "active-set steps must not allocate once warm"
         );
+    }
+
+    // --- synchronizer composites (factored path) -----------------------------
+    // From a random composite start the run goes through restarts, clock
+    // advances and host steps; once the pooled buffers have grown to their
+    // largest use, LE and MIS steps allocate nothing, under a partial
+    // (uniform-random) and a full (synchronous) activation schedule.
+    {
+        fn warm_composite_steps_allocate_nothing<A: Algorithm + StateSpace>(
+            name: &str,
+            alg: &Synchronized<A>,
+        ) {
+            let graph = Topology::Torus { rows: 16, cols: 16 }.build_deterministic();
+            let init = random_composite_configuration(&alg.inner().states(), alg.unison(), 256, 11);
+            let schedulers: [(&str, Box<dyn Scheduler>); 2] = [
+                ("uniform-random", Box::new(UniformRandomScheduler::new(0.5))),
+                ("synchronous", Box::new(SynchronousScheduler)),
+            ];
+            for (sched_name, mut sched) in schedulers {
+                let mut exec = ExecutionBuilder::new(alg, &graph)
+                    .seed(4)
+                    .initial(init.clone());
+                assert!(exec.uses_factored_transitions(), "{name} runs factored");
+                for _ in 0..200 {
+                    exec.step_with(&mut *sched);
+                }
+                let before = allocations();
+                for _ in 0..200 {
+                    exec.step_with(&mut *sched);
+                }
+                assert_eq!(
+                    allocations() - before,
+                    0,
+                    "{name} steps under {sched_name} must not allocate once warm"
+                );
+                assert!(exec.uses_factored_transitions());
+            }
+        }
+        let graph = Topology::Torus { rows: 16, cols: 16 }.build_deterministic();
+        let d = graph.diameter();
+        warm_composite_steps_allocate_nothing("AlgLE", &async_le(d));
+        warm_composite_steps_allocate_nothing("AlgMIS", &async_mis(d));
     }
 
     // Sanity: the counter actually counts.

@@ -287,6 +287,143 @@ fn synchronized_composites_sharded_match_serial() {
     }
 }
 
+/// Steps a factored-path and a closure-path execution of a synchronized
+/// composite in lockstep on `kind`, under faults from the composite's
+/// corrupted states, and three quarters of the way through corrupts node 0
+/// on both with `exotic` (a state outside the palettes), which drops the
+/// factored execution to the closure path. Outcomes, configurations,
+/// changed lists and counters must agree at every step.
+#[allow(clippy::too_many_arguments)]
+fn assert_factored_matches_closure<A: Algorithm>(
+    alg: &A,
+    graph: &Graph,
+    init: Vec<A::State>,
+    seed: u64,
+    kind: EngineKind,
+    make_sched: &dyn Fn() -> Box<dyn Scheduler>,
+    faults: &[A::State],
+    exotic: A::State,
+    steps: usize,
+    context: &str,
+) {
+    let build = |factored: bool| {
+        ExecutionBuilder::new(alg, graph)
+            .seed(seed)
+            .engine(kind)
+            .masked_transitions(factored)
+            .initial(init.clone())
+    };
+    let mut factored = build(true);
+    let mut closure = build(false);
+    assert!(
+        factored.uses_factored_transitions(),
+        "[{context}] composite must run factored"
+    );
+    assert!(!closure.uses_factored_transitions());
+    let plan = FaultPlan::Periodic {
+        period: 2,
+        count: 2,
+    };
+    let mut injector_a = FaultInjector::new(plan.clone(), faults.to_vec(), seed);
+    let mut injector_b = FaultInjector::new(plan, faults.to_vec(), seed);
+    let mut sched_a = make_sched();
+    let mut sched_b = make_sched();
+    for step in 0..steps {
+        if step == 3 * steps / 4 {
+            assert!(
+                factored.uses_factored_transitions(),
+                "[{context}] fell back early"
+            );
+            factored.corrupt(0, exotic.clone());
+            closure.corrupt(0, exotic.clone());
+            assert!(!factored.uses_factored_transitions());
+        }
+        let a = factored.step_with(&mut *sched_a);
+        let b = closure.step_with(&mut *sched_b);
+        assert_eq!(a, b, "[{context}] step {step}: outcome diverged");
+        assert_eq!(
+            factored.configuration(),
+            closure.configuration(),
+            "[{context}] step {step}: configuration diverged"
+        );
+        assert_eq!(
+            factored.last_changed(),
+            closure.last_changed(),
+            "[{context}] step {step}: changed-node list diverged"
+        );
+        assert_eq!(
+            factored.counters(),
+            closure.counters(),
+            "[{context}] step {step}: counters diverged"
+        );
+        if a.round_completed {
+            let va = injector_a.on_round(&mut factored);
+            let vb = injector_b.on_round(&mut closure);
+            assert_eq!(va, vb, "[{context}] step {step}: fault victims diverged");
+        }
+        assert!(
+            factored.validate_incremental_sensing(),
+            "[{context}] step {step}: coordinates out of step with the configuration"
+        );
+    }
+}
+
+/// The synchronizer composites' factored path (per-node palette
+/// coordinates, AlgAU's turn masks, module Restart's masks on the simulated
+/// bits) replays the closure path bit for bit: AlgMIS and AlgLE, serial
+/// and sharded engines, every scheduler, from a fully random composite
+/// start under faults — and through the fallback a state outside the
+/// palettes forces.
+#[test]
+fn synchronized_composites_factored_match_closure() {
+    use stone_age_unison::protocols::restart::RestartState;
+    let graph = Graph::grid(3, 3);
+    let n = graph.node_count();
+    let d = graph.diameter();
+    let mis = async_mis(d);
+    let le = async_le(d);
+    let mis_init = random_composite_configuration(&mis.inner().states(), mis.unison(), n, 17);
+    let le_init = random_composite_configuration(&le.inner().states(), le.unison(), n, 18);
+    // Host counters past their ranges: states no palette holds.
+    let mut mis_exotic = mis.fresh_state();
+    if let RestartState::Host(host) = &mut mis_exotic.current {
+        host.step = 200;
+    }
+    let mut le_exotic = le.fresh_state();
+    if let RestartState::Host(host) = &mut le_exotic.current {
+        host.round_in_epoch = 200;
+    }
+    for (sched_name, factory) in scheduler_factories(n) {
+        for kind in [EngineKind::Serial, EngineKind::Sharded { threads: 2 }] {
+            let context = format!("{sched_name}/{}", kind.label());
+            assert_factored_matches_closure(
+                &mis,
+                &graph,
+                mis_init.clone(),
+                0xfac7,
+                kind,
+                factory.as_ref(),
+                &mis.corrupted_states(),
+                mis_exotic,
+                400,
+                &format!("async-mis/{context}"),
+            );
+            assert_factored_matches_closure(
+                &le,
+                &graph,
+                le_init.clone(),
+                0xfac8,
+                kind,
+                factory.as_ref(),
+                &le.corrupted_states(),
+                le_exotic,
+                400,
+                &format!("async-le/{context}"),
+            );
+        }
+    }
+}
+
 /// Min-plus-one's registers are unbounded, so it has no state index: both
 /// engines sense and evaluate on the sparse `BTreeSet` signal path, with no
 /// masks and no bitmask scratch rebuild, and a deterministic transition
@@ -468,6 +605,53 @@ fn algau_masked_path_matches_closure_path() {
     }
 }
 
+/// Module Restart's mask-compiled transition (rules on the first and last
+/// sensed position, the host on a listed host signal) replays the closure
+/// path for bare AlgLE and AlgMIS — coins included — under every
+/// scheduler, in both signal modes, from random starts over their palettes.
+#[test]
+fn restart_masked_path_matches_closure_path() {
+    use stone_age_unison::protocols::{alg_le, alg_mis};
+    let graph = Graph::grid(3, 3);
+    let n = graph.node_count();
+    let d = graph.diameter();
+    let le = alg_le(d);
+    let mis = alg_mis(d);
+    let le_palette = le.states();
+    let mis_palette = mis.states();
+    let le_init: Vec<_> = (0..n)
+        .map(|v| le_palette[(v * 37 + 2) % le_palette.len()])
+        .collect();
+    let mis_init: Vec<_> = (0..n)
+        .map(|v| mis_palette[(v * 41 + 1) % mis_palette.len()])
+        .collect();
+    for (sched_name, factory) in scheduler_factories(n) {
+        for (mode_name, mode) in [("dense", SignalMode::Auto), ("sparse", SignalMode::Sparse)] {
+            let context = format!("{sched_name}/{mode_name}");
+            assert_masked_matches_closure(
+                &le,
+                &graph,
+                le_init.clone(),
+                0x1e5,
+                mode,
+                factory.as_ref(),
+                60,
+                &format!("alg-le/{context}"),
+            );
+            assert_masked_matches_closure(
+                &mis,
+                &graph,
+                mis_init.clone(),
+                0x315,
+                mode,
+                factory.as_ref(),
+                60,
+                &format!("alg-mis/{context}"),
+            );
+        }
+    }
+}
+
 /// A toy with a hand-written mask compilation, used to drive the masked
 /// path through a mid-run degrade: advance modulo 6 iff state 1 is sensed.
 struct SensesOne;
@@ -504,6 +688,7 @@ impl Algorithm for SensesOne {
                 &self,
                 state_idx: u32,
                 signal_words: &[u64],
+                _scratch: &mut WordPool,
                 _rng: &mut dyn RngCore,
             ) -> MaskedOutcome<u8> {
                 if self.one.intersects_words(signal_words) {
